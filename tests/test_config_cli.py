@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golfer.cli import main
 from golfer.config import ConfigError, echo_config, parse_config, parse_config_text
@@ -26,6 +28,104 @@ model.decoder_hidden=16
 train.epochs=1
 ensemble.k=3
 """
+
+
+DEFAULT_ECHO = """\
+data.seed=0
+data.num_scenes=256
+data.num_roads_min=4
+data.num_roads_max=8
+data.num_agents_min=1
+data.num_agents_max=4
+data.points_per_polyline=10
+data.history_steps=10
+data.horizon=16
+data.speed_min=5.0
+data.speed_max=15.0
+data.noise_scale=0.2
+data.curvature_min=-0.03
+data.curvature_max=0.03
+data.dt=0.5
+model.d=64
+model.heads=4
+model.fe_depth=2
+model.interact_depth=1
+model.k_modes=6
+model.d_ff=256
+model.decoder_hidden=128
+model.activation=gelu
+model.seed=0
+model.position_scale=10.0
+model.log_sigma_scale=1.0
+model.interact_proj=false
+train.epochs=16
+train.lr=0.001
+train.lambda=1.0
+train.mask_ratio=0.85
+train.seed=0
+ensemble.k=6
+ensemble.seed=0
+metrics.threshold_m=2.0
+"""
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi, exclude_min=False):
+    return st.floats(lo, hi, exclude_min=exclude_min, allow_nan=False).map(repr)
+
+
+_POSITIVE = _floats(0.0, 1e3, exclude_min=True)
+
+# One strategy of valid value texts per key. Each half of a *_min/*_max pair
+# stays on its side of the other half's default, and model.d is a multiple of
+# every heads value, so any subset of the keys is a valid config.
+VALID_VALUES = {
+    "data.seed": _ints(0, 2**32 - 1),
+    "data.num_scenes": _ints(1, 10**6),
+    "data.num_roads_min": _ints(1, 4),
+    "data.num_roads_max": _ints(8, 20),
+    "data.num_agents_min": _ints(0, 1),
+    "data.num_agents_max": _ints(4, 10),
+    "data.points_per_polyline": _ints(2, 64),
+    "data.history_steps": _ints(2, 64),
+    "data.horizon": _ints(1, 64),
+    "data.speed_min": _floats(-5.0, 5.0),
+    "data.speed_max": _floats(15.0, 40.0),
+    "data.noise_scale": _floats(0.0, 10.0),
+    "data.curvature_min": _floats(-1.0, -0.03),
+    "data.curvature_max": _floats(0.03, 1.0),
+    "data.dt": _POSITIVE,
+    "model.d": st.integers(1, 32).map(lambda k: str(4 * k)),
+    "model.heads": st.sampled_from(["1", "2", "4"]),
+    "model.fe_depth": _ints(1, 8),
+    "model.interact_depth": _ints(1, 8),
+    "model.k_modes": _ints(1, 12),
+    "model.d_ff": _ints(0, 512),
+    "model.decoder_hidden": st.lists(st.integers(1, 256), min_size=1, max_size=3).map(
+        lambda ws: ",".join(map(str, ws))),
+    "model.activation": st.sampled_from(["gelu", "relu"]),
+    "model.seed": _ints(0, 2**32 - 1),
+    "model.position_scale": _POSITIVE,
+    "model.log_sigma_scale": _POSITIVE,
+    "model.interact_proj": st.sampled_from(["true", "false"]),
+    "train.epochs": _ints(1, 100),
+    "train.lr": _POSITIVE,
+    "train.lambda": _floats(0.0, 10.0),
+    "train.mask_ratio": _floats(0.0, 1.0),
+    "train.seed": _ints(0, 2**32 - 1),
+    "ensemble.k": _ints(1, 24),
+    "ensemble.seed": _ints(0, 2**32 - 1),
+    "metrics.threshold_m": _POSITIVE,
+}
+
+
+@st.composite
+def valid_config_texts(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(VALID_VALUES)), unique=True))
+    return "\n".join(f"{key}={draw(VALID_VALUES[key])}" for key in keys)
 
 
 @pytest.fixture
@@ -76,6 +176,19 @@ class TestParseConfig:
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config_text("model.d=30\nmodel.heads=4")
+
+    def test_default_echo_is_byte_exact(self):
+        assert echo_config(parse_config_text("")) == DEFAULT_ECHO
+        assert set(VALID_VALUES) == {line.split("=")[0] for line in DEFAULT_ECHO.splitlines()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_config_texts())
+    def test_echo_reparses_and_is_a_fixed_point(self, text):
+        cfg = parse_config_text(text)
+        echoed = echo_config(cfg)
+        again = parse_config_text(echoed)
+        assert again == cfg
+        assert echo_config(again) == echoed
 
 
 def _run(tmp_path, tiny_config, *extra):
