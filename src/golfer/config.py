@@ -3,12 +3,13 @@
 Every key has a default, unknown keys are rejected, and the effective
 (fully-defaulted) configuration can be echoed back in the same format so a
 run is reproducible from its own output. Lines starting with '#' and blank
-lines are ignored.
+lines are ignored. `_KEYS` below is the schema; defaults are the dataclass
+field defaults of the sections it names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import GolferConfig
 from .scene import GeneratorConfig
@@ -19,184 +20,125 @@ class ConfigError(ValueError):
     """Bad key, type, or out-of-range value; message names the key path."""
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+def _parser(convert, expected: str):
+    """A parser whose error names the key and the expected form."""
 
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    if text in ("true", "false"):
-        return text == "true"
-    raise ConfigError(f"{key}: expected true or false, got {text!r}")
-
-
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_choice(choices):
-    def parse(key: str, text: str) -> str:
-        if text not in choices:
-            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}")
-        return text
+    def parse(key: str, text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
 
     return parse
 
 
-# key -> (parser, default). Declaration order is the echo order.
-_SCHEMA = {
-    "data.seed": (_parse_int, 0),
-    "data.num_scenes": (_parse_int, 256),
-    "data.num_roads_min": (_parse_int, 4),
-    "data.num_roads_max": (_parse_int, 8),
-    "data.num_agents_min": (_parse_int, 1),
-    "data.num_agents_max": (_parse_int, 4),
-    "data.points_per_polyline": (_parse_int, 10),
-    "data.history_steps": (_parse_int, 10),
-    "data.horizon": (_parse_int, 16),
-    "data.speed_min": (_parse_float, 5.0),
-    "data.speed_max": (_parse_float, 15.0),
-    "data.noise_scale": (_parse_float, 0.2),
-    "data.curvature_min": (_parse_float, -0.03),
-    "data.curvature_max": (_parse_float, 0.03),
-    "data.dt": (_parse_float, 0.5),
-    "model.d": (_parse_int, 64),
-    "model.heads": (_parse_int, 4),
-    "model.fe_depth": (_parse_int, 2),
-    "model.interact_depth": (_parse_int, 1),
-    "model.k_modes": (_parse_int, 6),
-    "model.d_ff": (_parse_int, 0),
-    "model.decoder_hidden": (_parse_int_list, (128,)),
-    "model.activation": (_parse_choice(("gelu", "relu")), "gelu"),
-    "model.seed": (_parse_int, 0),
-    "model.position_scale": (_parse_float, 10.0),
-    "model.log_sigma_scale": (_parse_float, 1.0),
-    "model.interact_proj": (_parse_bool, False),
-    "train.epochs": (_parse_int, 16),
-    "train.lr": (_parse_float, 1e-3),
-    "train.lambda": (_parse_float, 1.0),
-    "train.mask_ratio": (_parse_float, 0.85),
-    "train.seed": (_parse_int, 0),
-    "ensemble.k": (_parse_int, 6),
-    "ensemble.seed": (_parse_int, 0),
-    "metrics.threshold_m": (_parse_float, 2.0),
-}
-
-_RANGE_CHECKS = {
-    "data.num_scenes": lambda v: v >= 1,
-    "data.points_per_polyline": lambda v: v >= 2,
-    "data.history_steps": lambda v: v >= 2,
-    "data.horizon": lambda v: v >= 1,
-    "data.noise_scale": lambda v: v >= 0,
-    "data.dt": lambda v: v > 0,
-    "model.d": lambda v: v >= 1,
-    "model.heads": lambda v: v >= 1,
-    "model.fe_depth": lambda v: v >= 1,
-    "model.interact_depth": lambda v: v >= 1,
-    "model.k_modes": lambda v: v >= 1,
-    "model.d_ff": lambda v: v >= 0,
-    "model.position_scale": lambda v: v > 0,
-    "model.log_sigma_scale": lambda v: v > 0,
-    "train.epochs": lambda v: v >= 1,
-    "train.lr": lambda v: v > 0,
-    "train.lambda": lambda v: v >= 0,
-    "train.mask_ratio": lambda v: 0.0 <= v <= 1.0,
-    "ensemble.k": lambda v: v >= 1,
-    "metrics.threshold_m": lambda v: v > 0,
-}
-
-_RANGE_PAIRS = (
-    ("data.num_roads_min", "data.num_roads_max"),
-    ("data.num_agents_min", "data.num_agents_max"),
-    ("data.speed_min", "data.speed_max"),
-    ("data.curvature_min", "data.curvature_max"),
-)
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
+_parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",")),
+                          "comma-separated integers")
+_ACTIVATIONS = ("gelu", "relu")
+_parse_activation = _parser({a: a for a in _ACTIVATIONS}.__getitem__, f"one of {_ACTIVATIONS}")
 
 
 @dataclass
 class RunConfig:
     data: GeneratorConfig
-    num_scenes: int
     model: GolferConfig
     train: TrainConfig
-    ensemble_k: int
-    ensemble_seed: int
-    threshold_m: float
+    num_scenes: int = 256
+    ensemble_k: int = 6
+    ensemble_seed: int = 0
+    threshold_m: float = 2.0
+
+
+# A section is the RunConfig attribute that holds a key's field; "" is
+# RunConfig itself. The model's `horizon` has no key: it is `data.horizon`.
+_SECTIONS = {"data": GeneratorConfig, "model": GolferConfig, "train": TrainConfig, "": RunConfig}
+
+# key -> (section, field, index in a (min, max) tuple field or None, parser,
+# range check or None). Declaration order is the echo order; a range's max key
+# directly follows its min key.
+_KEYS = {
+    "data.seed": ("data", "seed", None, _parse_int, None),
+    "data.num_scenes": ("", "num_scenes", None, _parse_int, lambda v: v >= 1),
+    "data.num_roads_min": ("data", "num_roads", 0, _parse_int, lambda v: v >= 1),
+    "data.num_roads_max": ("data", "num_roads", 1, _parse_int, None),
+    "data.num_agents_min": ("data", "num_agents", 0, _parse_int, lambda v: v >= 0),
+    "data.num_agents_max": ("data", "num_agents", 1, _parse_int, None),
+    "data.points_per_polyline": ("data", "points_per_polyline", None, _parse_int, lambda v: v >= 2),
+    "data.history_steps": ("data", "history_steps", None, _parse_int, lambda v: v >= 2),
+    "data.horizon": ("data", "horizon", None, _parse_int, lambda v: v >= 1),
+    "data.speed_min": ("data", "speed_range", 0, _parse_float, None),
+    "data.speed_max": ("data", "speed_range", 1, _parse_float, None),
+    "data.noise_scale": ("data", "noise_scale", None, _parse_float, lambda v: v >= 0),
+    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, None),
+    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, None),
+    "data.dt": ("data", "dt", None, _parse_float, lambda v: v > 0),
+    "model.d": ("model", "d", None, _parse_int, lambda v: v >= 1),
+    "model.heads": ("model", "heads", None, _parse_int, lambda v: v >= 1),
+    "model.fe_depth": ("model", "fe_depth", None, _parse_int, lambda v: v >= 1),
+    "model.interact_depth": ("model", "interact_depth", None, _parse_int, lambda v: v >= 1),
+    "model.k_modes": ("model", "k_modes", None, _parse_int, lambda v: v >= 1),
+    "model.d_ff": ("model", "d_ff", None, _parse_int, lambda v: v >= 0),
+    "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list, None),
+    "model.activation": ("model", "activation", None, _parse_activation, None),
+    "model.seed": ("model", "seed", None, _parse_int, None),
+    "model.position_scale": ("model", "position_scale", None, _parse_float, lambda v: v > 0),
+    "model.log_sigma_scale": ("model", "log_sigma_scale", None, _parse_float, lambda v: v > 0),
+    "model.interact_proj": ("model", "interact_proj", None, _parse_bool, None),
+    "train.epochs": ("train", "epochs", None, _parse_int, lambda v: v >= 1),
+    "train.lr": ("train", "lr", None, _parse_float, lambda v: v > 0),
+    "train.lambda": ("train", "lam", None, _parse_float, lambda v: v >= 0),
+    "train.mask_ratio": ("train", "mask_ratio", None, _parse_float, lambda v: 0.0 <= v <= 1.0),
+    "train.seed": ("train", "seed", None, _parse_int, None),
+    "ensemble.k": ("", "ensemble_k", None, _parse_int, lambda v: v >= 1),
+    "ensemble.seed": ("", "ensemble_seed", None, _parse_int, None),
+    "metrics.threshold_m": ("", "threshold_m", None, _parse_float, lambda v: v > 0),
+}
+
+_PAIRS = [(lo, hi) for lo, hi in zip(_KEYS, list(_KEYS)[1:]) if _KEYS[lo][2] == 0]
+
+
+def _field_default(section: str, name: str, index: int | None):
+    """A key's default, read from the dataclass field, not from an instance
+    (an instance's `d_ff` is already resolved to 4*d)."""
+    default = next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+    return default if index is None else default[index]
+
+
+def _check_ranges(values: dict) -> None:
+    """Raise on the first bad value: single keys, then empty (min, max)
+    ranges, then the bounds on the min end of a range."""
+    for key, (_, _, index, _, check) in _KEYS.items():
+        if check and index != 0 and not check(values[key]):
+            raise ConfigError(f"{key}: value {values[key]} out of range")
+    for lo_key, hi_key in _PAIRS:
+        if values[hi_key] < values[lo_key]:
+            raise ConfigError(f"{hi_key}: range ({values[lo_key]}, {values[hi_key]}) is empty")
+    for lo_key, _ in _PAIRS:
+        check = _KEYS[lo_key][4]
+        if check and not check(values[lo_key]):
+            raise ConfigError(f"{lo_key}: value {values[lo_key]} out of range")
 
 
 def _assemble(values: dict) -> RunConfig:
-    for key, check in _RANGE_CHECKS.items():
-        if not check(values[key]):
-            raise ConfigError(f"{key}: value {values[key]} out of range")
-    for lo_key, hi_key in _RANGE_PAIRS:
-        if values[hi_key] < values[lo_key]:
-            raise ConfigError(f"{hi_key}: range ({values[lo_key]}, {values[hi_key]}) is empty")
-    if values["data.num_roads_min"] < 1:
-        raise ConfigError("data.num_roads_min: need at least one road")
-    if values["data.num_agents_min"] < 0:
-        raise ConfigError("data.num_agents_min: must be >= 0")
-    data = GeneratorConfig(
-        seed=values["data.seed"],
-        num_roads=(values["data.num_roads_min"], values["data.num_roads_max"]),
-        num_agents=(values["data.num_agents_min"], values["data.num_agents_max"]),
-        points_per_polyline=values["data.points_per_polyline"],
-        history_steps=values["data.history_steps"],
-        horizon=values["data.horizon"],
-        speed_range=(values["data.speed_min"], values["data.speed_max"]),
-        noise_scale=values["data.noise_scale"],
-        curvature_range=(values["data.curvature_min"], values["data.curvature_max"]),
-        dt=values["data.dt"],
-    )
+    _check_ranges(values)
+    kwargs = {section: {} for section in _SECTIONS}
+    for key, (section, name, index, _, _) in _KEYS.items():
+        owner = kwargs[section]
+        owner[name] = values[key] if index is None else owner.get(name, ()) + (values[key],)
+    kwargs["model"]["horizon"] = kwargs["data"]["horizon"]  # the model predicts the data horizon
     try:
-        model = GolferConfig(
-            d=values["model.d"],
-            heads=values["model.heads"],
-            fe_depth=values["model.fe_depth"],
-            interact_depth=values["model.interact_depth"],
-            k_modes=values["model.k_modes"],
-            horizon=values["data.horizon"],  # the model predicts the data horizon
-            d_ff=values["model.d_ff"],
-            decoder_hidden=values["model.decoder_hidden"],
-            activation=values["model.activation"],
-            seed=values["model.seed"],
-            position_scale=values["model.position_scale"],
-            log_sigma_scale=values["model.log_sigma_scale"],
-            interact_proj=values["model.interact_proj"],
-        )
+        model = GolferConfig(**kwargs["model"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
-    train = TrainConfig(
-        epochs=values["train.epochs"],
-        lr=values["train.lr"],
-        lam=values["train.lambda"],
-        mask_ratio=values["train.mask_ratio"],
-        seed=values["train.seed"],
-    )
-    return RunConfig(
-        data=data,
-        num_scenes=values["data.num_scenes"],
-        model=model,
-        train=train,
-        ensemble_k=values["ensemble.k"],
-        ensemble_seed=values["ensemble.seed"],
-        threshold_m=values["metrics.threshold_m"],
-    )
+    return RunConfig(data=GeneratorConfig(**kwargs["data"]), model=model,
+                     train=TrainConfig(**kwargs["train"]), **kwargs[""])
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = {key: _field_default(*entry[:3]) for key, entry in _KEYS.items()}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -205,10 +147,9 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key}")
-        parser, _ = _SCHEMA[key]
-        values[key] = parser(key, value.strip())
+        values[key] = _KEYS[key][3](key, value.strip())
     return _assemble(values)
 
 
@@ -236,41 +177,8 @@ def _format_value(value) -> str:
 
 def echo_config(cfg: RunConfig) -> str:
     """The effective configuration, re-parseable as a config file."""
-    values = {
-        "data.seed": cfg.data.seed,
-        "data.num_scenes": cfg.num_scenes,
-        "data.num_roads_min": cfg.data.num_roads[0],
-        "data.num_roads_max": cfg.data.num_roads[1],
-        "data.num_agents_min": cfg.data.num_agents[0],
-        "data.num_agents_max": cfg.data.num_agents[1],
-        "data.points_per_polyline": cfg.data.points_per_polyline,
-        "data.history_steps": cfg.data.history_steps,
-        "data.horizon": cfg.data.horizon,
-        "data.speed_min": cfg.data.speed_range[0],
-        "data.speed_max": cfg.data.speed_range[1],
-        "data.noise_scale": cfg.data.noise_scale,
-        "data.curvature_min": cfg.data.curvature_range[0],
-        "data.curvature_max": cfg.data.curvature_range[1],
-        "data.dt": cfg.data.dt,
-        "model.d": cfg.model.d,
-        "model.heads": cfg.model.heads,
-        "model.fe_depth": cfg.model.fe_depth,
-        "model.interact_depth": cfg.model.interact_depth,
-        "model.k_modes": cfg.model.k_modes,
-        "model.d_ff": cfg.model.d_ff,
-        "model.decoder_hidden": cfg.model.decoder_hidden,
-        "model.activation": cfg.model.activation,
-        "model.seed": cfg.model.seed,
-        "model.position_scale": cfg.model.position_scale,
-        "model.log_sigma_scale": cfg.model.log_sigma_scale,
-        "model.interact_proj": cfg.model.interact_proj,
-        "train.epochs": cfg.train.epochs,
-        "train.lr": cfg.train.lr,
-        "train.lambda": cfg.train.lam,
-        "train.mask_ratio": cfg.train.mask_ratio,
-        "train.seed": cfg.train.seed,
-        "ensemble.k": cfg.ensemble_k,
-        "ensemble.seed": cfg.ensemble_seed,
-        "metrics.threshold_m": cfg.threshold_m,
-    }
-    return "\n".join(f"{key}={_format_value(values[key])}" for key in _SCHEMA) + "\n"
+    lines = []
+    for key, (section, name, index, _, _) in _KEYS.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        lines.append(f"{key}={_format_value(value if index is None else value[index])}")
+    return "\n".join(lines) + "\n"
