@@ -17,7 +17,6 @@ from .model import (
     decode,
     encode_element,
     encode_scene,
-    fe_block,
     forward,
     forward_nodes,
     init_model_params,

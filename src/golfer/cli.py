@@ -57,12 +57,13 @@ def _load_scenes(path: str) -> list[Scene]:
     return scenes
 
 
-def _check_horizon(scenes: list[Scene], params: ModelParams, path: str) -> None:
-    if scenes[0].horizon != params.config.horizon:
-        raise FormatError(
-            f"{path}: dataset horizon {scenes[0].horizon} does not match model horizon "
-            f"{params.config.horizon}"
-        )
+def _check_horizon(scenes: list[Scene], horizon: int, path: str) -> None:
+    """Every scene must have the horizon the model predicts."""
+    for index, scene in enumerate(scenes):
+        if scene.horizon != horizon:
+            raise FormatError(
+                f"{path}: scene {index} has horizon {scene.horizon}, expected horizon {horizon}"
+            )
 
 
 def _predict_all(scenes: list[Scene], params: ModelParams) -> list[Prediction]:
@@ -116,11 +117,7 @@ def _cmd_train(args) -> int:
         cfg.train.seed = args.seed
     _echo(cfg)
     scenes = _load_scenes(args.data)
-    if scenes[0].horizon != cfg.model.horizon:
-        raise FormatError(
-            f"{args.data}: dataset horizon {scenes[0].horizon} does not match configured "
-            f"horizon {cfg.model.horizon}"
-        )
+    _check_horizon(scenes, cfg.model.horizon, args.data)
     params, trace = train(scenes, cfg.model, cfg.train)
     save_params(params, args.out)
     trace_path = args.out + ".trace"
@@ -151,7 +148,7 @@ def _cmd_evaluate(args) -> int:
     _echo(cfg)
     scenes = _load_scenes(args.data)
     params = load_params(args.model[0])
-    _check_horizon(scenes, params, args.data)
+    _check_horizon(scenes, params.config.horizon, args.data)
     preds = _predict_all(scenes, params)
     report = _metrics_record(scenes, [p.means for p in preds], params.config.k_modes,
                              cfg.threshold_m)
@@ -167,7 +164,7 @@ def _cmd_predict(args) -> int:
     _echo(cfg)
     scenes = _load_scenes(args.data)
     params = load_params(args.model[0])
-    _check_horizon(scenes, params, args.data)
+    _check_horizon(scenes, params.config.horizon, args.data)
     preds = _predict_all(scenes, params)
     with open(args.out, "w", encoding="utf-8") as fh:
         for scene_id, pred in enumerate(preds):
@@ -184,8 +181,8 @@ def _cmd_ensemble(args) -> int:
     _echo(cfg)
     scenes = _load_scenes(args.data)
     members = [load_params(path) for path in args.model]
-    for path, params in zip(args.model, members):
-        _check_horizon(scenes, params, args.data)
+    for params in members:
+        _check_horizon(scenes, params.config.horizon, args.data)
     total_modes = sum(p.config.k_modes for p in members)
     if total_modes < cfg.ensemble_k:
         raise ConfigError(

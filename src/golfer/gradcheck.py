@@ -99,11 +99,6 @@ def _primitive_builders():
         x, g, b = leaf(rng, 4, 8), leaf(rng, 8), leaf(rng, 8)
         return [x, g, b], lambda t: _scalarize(nm.layer_norm(t.watch(x), t.watch(g), t.watch(b)))
 
-    def build_masked_softmax(rng):
-        z = leaf(rng, 6)
-        mask = np.array([True, True, False, True, False, True])
-        return [z], lambda t: _scalarize(nm.masked_softmax(t.watch(z), mask))
-
     def build_masked_softmax_rows(rng):
         z = leaf(rng, 5, 5)
         mask = np.array([True, False, True, True, True])
@@ -154,7 +149,6 @@ def _primitive_builders():
         "matmul": build_matmul,
         "vecmat": build_vecmat,
         "layer_norm": build_layer_norm,
-        "masked_softmax": build_masked_softmax,
         "masked_softmax_rows": build_masked_softmax_rows,
         "masked_max_pool": build_masked_max_pool,
         "concat_last": build_concat,

@@ -239,11 +239,6 @@ def parameter_count(params: ModelParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def fe_block(tape: Tape, tokens: Node, context: Node, mask, block: MnMBlockParams) -> tuple[Node, Node]:
-    """Feature extractor: the query-variant block with MaxPool mix, Concat match."""
-    return mnm_query(tape, tokens, context, mask, block)
-
-
 def _run_mlp(tape: Tape, mlp: _Mlp, v: Node, activation: str) -> Node:
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -267,7 +262,7 @@ def encode_element(tape: Tape, element: SceneElement, params: ModelParams) -> No
     context = nm.add(nm.vecmat(tape.constant(element.context), tape.watch(proj_c.w)),
                      tape.watch(proj_c.b))
     for block in params.fe_blocks:
-        tokens, context = fe_block(tape, tokens, context, element.mask, block)
+        tokens, context = mnm_query(tape, tokens, context, element.mask, block)
     return nm.maximum(nm.masked_max_pool(tokens, element.mask), context)
 
 
@@ -407,6 +402,8 @@ def load_params(path, expected_config: GolferConfig | None = None, force: bool =
                 f"{path}: tensor {name!r} has shape {shape}, expected {p.value.shape}"
             )
         data = np.frombuffer(take(8 * p.value.size), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise ModelFormatError(f"{path}: tensor {name!r} has non-finite values")
         p.value[...] = data
     if offset != len(view):
         raise ModelFormatError(f"{path}: {len(view) - offset} trailing bytes")

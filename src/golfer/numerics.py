@@ -405,26 +405,6 @@ def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
     return out
 
 
-def masked_softmax(z: Node, mask) -> Node:
-    """Softmax over the valid entries of a vector; invalid entries map to 0."""
-    m = _as_mask(mask)
-    if z.value.ndim != 1 or m.shape != z.value.shape:
-        raise DimensionError(f"masked_softmax: values {z.value.shape}, mask {m.shape}")
-    if not m.any():
-        raise EmptySetError("masked_softmax: mask has no valid entries")
-    zmax = z.value[m].max()
-    e = np.where(m, np.exp(z.value - zmax), 0.0)
-    p = e / e.sum()
-    out = Node(p, z.tape)
-
-    def backward():
-        dot = float(out.grad @ p)
-        z.grad += p * (out.grad - dot)
-
-    z.tape.record(backward)
-    return out
-
-
 def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
     """Row-wise masked softmax of an (n,n) score matrix.
 

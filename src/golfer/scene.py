@@ -87,6 +87,8 @@ class Scene:
             raise ValueError(f"future must be (T,2), got {self.future.shape}")
         if self.future_mask.shape != (self.future.shape[0],):
             raise ValueError("future_mask length mismatch")
+        if not np.isfinite(self.future).all():
+            raise ValueError("future must be finite")
 
     @property
     def horizon(self) -> int:

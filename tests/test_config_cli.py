@@ -295,6 +295,31 @@ class TestCliErrors:
                      "--model", model]) == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_mixed_horizon_dataset_exits_1(self, tmp_path, tiny_config, capsys):
+        data = str(tmp_path / "scenes.jsonl")
+        model = str(tmp_path / "model.mnmg")
+        assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        assert main(["train", "--config", tiny_config, "--data", data, "--out", model]) == 0
+        long_cfg = tmp_path / "long.cfg"
+        long_cfg.write_text(TINY_CONFIG.replace("data.horizon=4", "data.horizon=8"))
+        long_data = str(tmp_path / "long.jsonl")
+        assert main(["generate-data", "--config", str(long_cfg), "--out", long_data]) == 0
+        mixed = tmp_path / "mixed.jsonl"
+        long_scene = open(long_data).read().splitlines()[1]
+        mixed.write_text(open(data).read() + long_scene + "\n")  # scene 6 has horizon 8
+        capsys.readouterr()
+        commands = [
+            ["train", "--out", str(tmp_path / "m2.mnmg")],
+            ["evaluate", "--model", model],
+            ["predict", "--model", model, "--out", str(tmp_path / "p.jsonl")],
+            ["ensemble", "--model", model, "--model", model],
+        ]
+        for command in commands:
+            code = main([*command, "--config", tiny_config, "--data", str(mixed)])
+            err = capsys.readouterr().err
+            assert code == 1, command[0]
+            assert "scene 6" in err and "horizon 8" in err and "Traceback" not in err
+
     def test_gradcheck_failure_exits_nonzero(self, monkeypatch, capsys):
         import golfer.cli as cli_mod
         from golfer.gradcheck import CheckResult

@@ -4,14 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from golfer.mnm import MatchKind, MixKind, init_mnm_block
+from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
 from golfer.model import (
     GolferConfig,
     ModelFormatError,
     decode,
     encode_element,
     encode_scene,
-    fe_block,
     forward,
     init_model_params,
     interact,
@@ -77,7 +76,7 @@ class TestFeBlock:
         tokens, context = rng.normal(size=(5, 16)), rng.normal(size=16)
         mask = np.array([True, True, False, True, True])
         tape = Tape()
-        t_out, c_out = fe_block(tape, tape.constant(tokens), tape.constant(context), mask, block)
+        t_out, c_out = mnm_query(tape, tape.constant(tokens), tape.constant(context), mask, block)
         assert (t_out.value == tokens).all()
         expected = ref_max_pool(
             ref_layer_norm(tokens, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
@@ -92,10 +91,10 @@ class TestFeBlock:
         mask = np.ones(6, dtype=bool)
         perm = rng.permutation(6)
         tape = Tape()
-        t_base, c_base = fe_block(tape, tape.constant(tokens), tape.constant(context), mask, block)
+        t_base, c_base = mnm_query(tape, tape.constant(tokens), tape.constant(context), mask, block)
         tape = Tape()
-        t_perm, c_perm = fe_block(tape, tape.constant(tokens[perm]), tape.constant(context),
-                                  mask[perm], block)
+        t_perm, c_perm = mnm_query(tape, tape.constant(tokens[perm]), tape.constant(context),
+                                   mask[perm], block)
         np.testing.assert_allclose(t_perm.value, t_base.value[perm], atol=1e-12)
         np.testing.assert_allclose(c_perm.value, c_base.value, atol=1e-12)
 
@@ -341,6 +340,14 @@ class TestModelFiles:
                    + bytes(blob[12 + config_len:]))
         path.write_bytes(patched)
         with pytest.raises(ModelFormatError, match=r"shape"):
+            load_params(path)
+
+    def test_non_finite_tensor_is_named(self, tmp_path):
+        params = init_model_params(TINY)
+        dict(params.named_parameters())["fe.0.wm.1"].value[2, 3] = np.nan
+        path = tmp_path / "m.mnmg"
+        save_params(params, path)
+        with pytest.raises(ModelFormatError, match=r"'fe\.0\.wm\.1'.*finite"):
             load_params(path)
 
     def test_bad_magic(self, tmp_path):

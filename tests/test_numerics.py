@@ -4,7 +4,7 @@ import pytest
 import golfer.numerics as nm
 from golfer.numerics import DimensionError, EmptySetError, Parameter, Tape, gradient_check
 
-from oracles import ref_layer_norm, ref_masked_softmax, ref_max_pool
+from oracles import ref_attention_rows, ref_layer_norm, ref_max_pool
 
 # Frozen high-precision values (independently computed from the definitions).
 GELU_AT_ONE = 0.8413447460685429  # 1 * Phi(1)
@@ -99,42 +99,51 @@ class TestActivation:
 
 
 class TestMaskedSoftmax:
+    """`masked_softmax_rows`, the attention weights over valid keys."""
+
+    @staticmethod
+    def _rows(scores, key_mask, query_mask=None):
+        query_mask = np.ones(len(key_mask), dtype=bool) if query_mask is None else query_mask
+        return _value(lambda s: nm.masked_softmax_rows(s, key_mask, query_mask), scores)
+
     def test_symmetry(self):
-        out = _value(lambda z: nm.masked_softmax(z, [True, True]), np.zeros(2))
-        np.testing.assert_allclose(out, [0.5, 0.5])
+        out = self._rows(np.zeros((2, 2)), [True, True])
+        np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_valid_entry(self):
-        out = _value(lambda z: nm.masked_softmax(z, [True, False]), np.array([10.0, 0.0]))
-        assert (out == [1.0, 0.0]).all()
+        out = self._rows(np.array([[10.0, 0.0], [0.0, 10.0]]), [True, False])
+        assert (out == [[1.0, 0.0], [1.0, 0.0]]).all()
 
     def test_frozen_values(self):
-        out = _value(lambda z: nm.masked_softmax(z, [True] * 3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, SOFTMAX_123, atol=1e-6)
+        out = self._rows(np.tile([1.0, 2.0, 3.0], (3, 1)), [True] * 3)
+        np.testing.assert_allclose(out, np.tile(SOFTMAX_123, (3, 1)), atol=1e-6)
 
     def test_all_invalid_is_an_error(self):
         with pytest.raises(EmptySetError):
-            _value(lambda z: nm.masked_softmax(z, [False, False]), np.zeros(2))
+            self._rows(np.zeros((2, 2)), [False, False])
 
     def test_probability_vector_over_valid_entries(self):
         for seed in range(20):
             rng = _rng(seed)
-            z = rng.normal(size=9) * 4
-            mask = rng.random(9) < 0.6
-            if not mask.any():
-                mask[0] = True
-            out = _value(lambda zz: nm.masked_softmax(zz, mask), z)
+            scores = rng.normal(size=(9, 9)) * 4
+            key_mask, query_mask = rng.random(9) < 0.6, rng.random(9) < 0.6
+            key_mask[0] = True
+            out = self._rows(scores, key_mask, query_mask)
             assert (out >= 0).all()
-            assert (out[~mask] == 0.0).all()
-            assert abs(out.sum() - 1.0) < 1e-12
+            assert (out[:, ~key_mask] == 0.0).all()
+            assert (out[~query_mask] == 0.0).all()
+            assert np.abs(out[query_mask].sum(axis=1) - 1.0).max() < 1e-12
+            np.testing.assert_allclose(out, ref_attention_rows(scores, key_mask, query_mask),
+                                       atol=1e-15)
 
     def test_bitwise_invariant_to_invalid_entries(self):
         rng = _rng(7)
-        z = rng.normal(size=6)
+        scores = rng.normal(size=(6, 6))
         mask = np.array([True, False, True, True, False, True])
-        base = _value(lambda zz: nm.masked_softmax(zz, mask), z)
-        z2 = z.copy()
-        z2[~mask] = rng.normal(size=2) * 1e6
-        again = _value(lambda zz: nm.masked_softmax(zz, mask), z2)
+        base = self._rows(scores, mask)
+        again_scores = scores.copy()
+        again_scores[:, ~mask] = rng.normal(size=(6, 2)) * 1e6
+        again = self._rows(again_scores, mask)
         assert (base == again).all()
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from golfer.scene import (
     GeneratorConfig,
     GoalConditioning,
     ParseError,
+    Scene,
     apply_goal_masking,
     constant_velocity_baseline,
     encode_goal_element,
@@ -208,3 +211,18 @@ class TestDatasetIO:
             fh.write('{"version":1,"ego":"nope"}\n')
         with pytest.raises(ParseError, match="line 4"):
             read_dataset(path)
+
+    def test_non_finite_future_names_the_line(self, tmp_path):
+        scenes = generate_dataset(GeneratorConfig(seed=21), 2)
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(scenes, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["future"][3][1] = float("nan")
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 3.*finite"):
+            read_dataset(path)
+        with pytest.raises(ValueError, match="finite"):
+            Scene(ego=scenes[0].ego, agents=[], roads=[],
+                  future=np.full((4, 2), np.inf), future_mask=np.ones(4, dtype=bool))
