@@ -9,6 +9,7 @@ field defaults of the sections it names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .model import GolferConfig
@@ -32,8 +33,15 @@ def _parser(convert, expected: str):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 _parse_int = _parser(int, "an integer")
-_parse_float = _parser(float, "a number")
+_parse_float = _parser(_finite_float, "a finite number")
 _parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
 _parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",")),
                           "comma-separated integers")
@@ -81,7 +89,8 @@ _KEYS = {
     "model.interact_depth": ("model", "interact_depth", None, _parse_int, lambda v: v >= 1),
     "model.k_modes": ("model", "k_modes", None, _parse_int, lambda v: v >= 1),
     "model.d_ff": ("model", "d_ff", None, _parse_int, lambda v: v >= 0),
-    "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list, None),
+    "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list,
+                             lambda v: min(v) >= 1),
     "model.activation": ("model", "activation", None, _parse_activation, None),
     "model.seed": ("model", "seed", None, _parse_int, None),
     "model.position_scale": ("model", "position_scale", None, _parse_float, lambda v: v > 0),

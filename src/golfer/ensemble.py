@@ -44,23 +44,19 @@ class EnsembleOutput:
 
 
 def _merge_duplicates(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge bytewise-identical rows, summing their weights (first-seen order).
+    """Merge identical rows, summing their weights (first-seen order).
 
-    Keeps duplicated model pools exactly equivalent to their deduplicated
-    form, draws from the rng included.
+    Rows are compared by their bytes after adding 0.0, which turns -0.0 into
+    0.0, so rows equal in value merge. Keeps duplicated model pools exactly
+    equivalent to their deduplicated form, draws from the rng included.
     """
-    index: dict[bytes, int] = {}
-    order: list[int] = []
-    merged = np.zeros(len(points))
-    for i, row in enumerate(points):
-        key = row.tobytes()
-        if key in index:
-            merged[index[key]] += weights[i]
-        else:
-            index[key] = len(order)
-            merged[len(order)] = weights[i]
-            order.append(i)
-    return points[order], merged[: len(order)]
+    rows = points + 0.0
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged = np.zeros(len(order))
+    np.add.at(merged, np.argsort(order)[group], weights)
+    return points[first[order]], merged
 
 
 def _kmeanspp_init(

@@ -70,93 +70,53 @@ def _check(name: str, build, instances: int, tol: float) -> CheckResult:
 
 
 def _primitive_builders():
-    def leaf(rng, *shape) -> Parameter:
-        return Parameter(rng.normal(size=shape))
+    def on(op, *shapes, scalar_out=False):
+        """Check op on fresh standard-normal leaves of the given shapes; a
+        non-scalar output is projected to a scalar."""
 
-    def unary(op):
         def build(rng):
-            x = leaf(rng, 4, 5)
-            return [x], lambda t: _scalarize(op(t.watch(x)))
+            leaves = [Parameter(rng.normal(size=shape)) for shape in shapes]
+
+            def fn(t):
+                out = op(*(t.watch(p) for p in leaves))
+                return out if scalar_out else _scalarize(out)
+
+            return leaves, fn
 
         return build
 
-    def binary(op):
-        def build(rng):
-            a, b = leaf(rng, 4, 5), leaf(rng, 4, 5)
-            return [a, b], lambda t: _scalarize(op(t.watch(a), t.watch(b)))
-
-        return build
-
-    def build_matmul(rng):
-        a, b = leaf(rng, 3, 4), leaf(rng, 4, 2)
-        return [a, b], lambda t: _scalarize(nm.matmul(t.watch(a), t.watch(b)))
-
-    def build_vecmat(rng):
-        v, w = leaf(rng, 4), leaf(rng, 4, 3)
-        return [v, w], lambda t: _scalarize(nm.vecmat(t.watch(v), t.watch(w)))
-
-    def build_layer_norm(rng):
-        x, g, b = leaf(rng, 4, 8), leaf(rng, 8), leaf(rng, 8)
-        return [x, g, b], lambda t: _scalarize(nm.layer_norm(t.watch(x), t.watch(g), t.watch(b)))
-
-    def build_masked_softmax_rows(rng):
-        z = leaf(rng, 5, 5)
-        mask = np.array([True, False, True, True, True])
-        return [z], lambda t: _scalarize(nm.masked_softmax_rows(t.watch(z), mask, mask))
-
-    def build_masked_max_pool(rng):
-        x = leaf(rng, 5, 6)
-        mask = np.array([True, False, True, True, False])
-        return [x], lambda t: _scalarize(nm.masked_max_pool(t.watch(x), mask))
-
-    def build_concat(rng):
-        a, b = leaf(rng, 3, 4), leaf(rng, 3, 2)
-        return [a, b], lambda t: _scalarize(nm.concat_last(t.watch(a), t.watch(b)))
-
-    def build_tile_rows(rng):
-        v = leaf(rng, 5)
-        return [v], lambda t: _scalarize(nm.tile_rows(t.watch(v), 4))
-
-    def build_stack_rows(rng):
-        vs = [leaf(rng, 5) for _ in range(3)]
-        return vs, lambda t: _scalarize(nm.stack_rows([t.watch(v) for v in vs]))
-
-    def build_weighted_sum(rng):
-        x = leaf(rng, 4, 3)
-        weights = _rng(31).normal(size=(4, 3))
-        return [x], lambda t: nm.weighted_sum(t.watch(x), weights)
-
-    def build_pick(rng):
-        v = leaf(rng, 6)
-        return [v], lambda t: nm.pick(t.watch(v), 2)
-
-    def build_logsumexp(rng):
-        v = leaf(rng, 6)
-        return [v], lambda t: nm.logsumexp(t.watch(v))
-
+    grid = (4, 5)
+    keys = np.array([True, False, True, True, True])
+    queries = np.array([True, True, False, True, True])
+    pool_mask = np.array([True, False, True, True, False])
+    weights = _rng(31).normal(size=(4, 3))
     return {
-        "add": binary(nm.add),
-        "mul": binary(nm.mul),
-        "maximum": binary(nm.maximum),
-        "scale": unary(lambda x: nm.scale(x, -1.7)),
-        "exp": unary(nm.exp),
-        "clamp": unary(lambda x: nm.clamp(x, -1.0, 1.0)),
-        "relu": unary(nm.relu),
-        "gelu": unary(nm.gelu),
-        "transpose": unary(nm.transpose),
-        "reshape": unary(lambda x: nm.reshape(x, (2, 10))),
-        "slice_last": unary(lambda x: nm.slice_last(x, 1, 4)),
-        "matmul": build_matmul,
-        "vecmat": build_vecmat,
-        "layer_norm": build_layer_norm,
-        "masked_softmax_rows": build_masked_softmax_rows,
-        "masked_max_pool": build_masked_max_pool,
-        "concat_last": build_concat,
-        "tile_rows": build_tile_rows,
-        "stack_rows": build_stack_rows,
-        "weighted_sum": build_weighted_sum,
-        "pick": build_pick,
-        "logsumexp": build_logsumexp,
+        "add": on(nm.add, grid, grid),
+        "mul": on(nm.mul, grid, grid),
+        "maximum": on(nm.maximum, grid, grid),
+        "scale": on(lambda x: nm.scale(x, -1.7), grid),
+        "exp": on(nm.exp, grid),
+        "clamp": on(lambda x: nm.clamp(x, -1.0, 1.0), grid),
+        "relu": on(nm.relu, grid),
+        "gelu": on(nm.gelu, grid),
+        "transpose": on(lambda x: nm.transpose(x, (1, 0)), grid),
+        "transpose_axes": on(lambda x: nm.transpose(x, (1, 2, 0)), (2, 3, 4)),
+        "reshape": on(lambda x: nm.reshape(x, (2, 10)), grid),
+        "slice_last": on(lambda x: nm.slice_last(x, 1, 4), grid),
+        "matmul": on(nm.matmul, (3, 4), (4, 2)),
+        "matmul_batched": on(nm.matmul, (2, 3, 4), (2, 4, 2)),
+        "matmul_vector": on(nm.matmul, (4,), (4, 3)),
+        "layer_norm": on(nm.layer_norm, (4, 8), (8,), (8,)),
+        "masked_softmax_rows": on(lambda z: nm.masked_softmax_rows(z, keys, keys), (5, 5)),
+        "masked_softmax_rows_3d": on(lambda z: nm.masked_softmax_rows(z, keys, queries),
+                                     (2, 5, 5)),
+        "masked_max_pool": on(lambda x: nm.masked_max_pool(x, pool_mask), (5, 6)),
+        "concat_last": on(nm.concat_last, (3, 4), (3, 2)),
+        "broadcast_to": on(lambda v: nm.broadcast_to(v, (2, 3, 4, 5)), (3, 1, 5)),
+        "stack_rows": on(lambda *vs: nm.stack_rows(vs), (5,), (5,), (5,)),
+        "weighted_sum": on(lambda x: nm.weighted_sum(x, weights), (4, 3), scalar_out=True),
+        "pick": on(lambda v: nm.pick(v, 2), (6,), scalar_out=True),
+        "logsumexp": on(nm.logsumexp, (6,), scalar_out=True),
     }
 
 
@@ -197,7 +157,7 @@ def _block_builder(mix_kind: MixKind, match_kind: MatchKind, query: bool, heads:
         def fn(tape):
             if query:
                 x_out, c_out = mnm_query(tape, tape.watch(x), tape.watch(c), mask, block)
-                return _scalarize(nm.add(x_out, nm.tile_rows(c_out, n)))
+                return _scalarize(nm.add(x_out, nm.broadcast_to(c_out, (n, d))))
             return _scalarize(mnm_basic(tape, tape.watch(x), mask, block))
 
         return leaves, fn

@@ -8,11 +8,13 @@ self-attention and Match to the attention matmul, the basic block is exactly
 a pre-norm transformer encoder layer; with max pooling and concatenation it
 is a far cheaper mixer with the same interface.
 
-Multi-head variants split the channels into contiguous groups after the
-shared normalization; Mix and Match run per group and the group outputs are
-concatenated before the residual add. Feed-forward layers stay full-width.
-The coordinate-wise max makes per-group pooling identical to full-width
-pooling, so only attention heads need an explicit per-group pass.
+Heads are a leading array axis. A block splits its channels into H
+contiguous groups, reshaping (n,d) tokens to (H,n,dh) and a (d,) query to
+(H,dh), and stacks its per-head Match and attention weights to (H,...).
+Mix and Match then run once over all heads as batched ops, and the result is
+merged back to (n,d) before the residual add. Feed-forward layers stay
+full-width. The coordinate-wise max makes per-group pooling identical to
+full-width pooling, so max-pool Mix runs before the split.
 """
 
 from __future__ import annotations
@@ -45,34 +47,42 @@ LAYER_NORM_EPS = 1e-5
 def mix(kind: MixKind, x: Node, mask, wq: Node | None = None, wk: Node | None = None) -> Node:
     """Aggregate token information.
 
-    MAX_POOL returns the masked column-wise max, a (d,) vector. ATTENTION
-    returns the (n,n) row-softmax of (xQ)(xK)^T / sqrt(d), with invalid key
-    columns zeroed and invalid query rows all-zero; Q and K default to the
-    identity.
+    MAX_POOL returns the masked column-wise max of (n,d) tokens, a (d,)
+    vector. ATTENTION takes (...,n,dh) tokens, one matrix per head, and
+    returns the (...,n,n) row-softmax of (xQ)(xK)^T / sqrt(dh), with invalid
+    key columns zeroed and invalid query rows all-zero; Q and K are
+    (...,dh,dh) and default to the identity.
     """
     if kind is MixKind.MAX_POOL:
         return nm.masked_max_pool(x, mask)
     q = nm.matmul(x, wq) if wq is not None else x
     k = nm.matmul(x, wk) if wk is not None else x
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / math.sqrt(x.value.shape[1]))
-    return nm.masked_softmax_rows(scores, mask, mask)
+    last_two_swapped = (*range(x.value.ndim - 2), x.value.ndim - 1, x.value.ndim - 2)
+    scores = nm.matmul(q, nm.transpose(k, last_two_swapped))
+    return nm.masked_softmax_rows(nm.scale(scores, 1.0 / math.sqrt(x.value.shape[-1])), mask, mask)
 
 
 def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
-    """Redistribute the mixed aggregate back onto each token row."""
-    n, d = x.value.shape
+    """Redistribute the mixed aggregate back onto each token row.
+
+    x is (...,n,dh), one token matrix per head. c is the matching (...,n,n)
+    attention or a (...,dh) pooled vector per head; wm is a (...,2dh,dh)
+    concat or (...,dh,dh) product projection per head.
+    """
+    *lead, n, d = x.value.shape
     if kind is MatchKind.ATTENTION_MATMUL:
-        if c.value.shape != (n, n):
+        if c.value.shape != (*lead, n, n):
             raise DimensionError(f"attention match: mix output {c.value.shape}, tokens {x.value.shape}")
         return nm.matmul(c, x)
-    if c.value.shape != (d,):
+    if c.value.shape != (*lead, d):
         raise DimensionError(f"{kind.value} match: mix output {c.value.shape}, tokens {x.value.shape}")
+    rows = nm.broadcast_to(nm.reshape(c, (*lead, 1, d)), x.value.shape)
     if kind is MatchKind.CONCAT:
         if wm is None:
             raise DimensionError("concat match requires a (2d,d) projection")
-        return nm.matmul(nm.concat_last(x, nm.tile_rows(c, n)), wm)
+        return nm.matmul(nm.concat_last(x, rows), wm)
     # PRODUCT: c broadcast over rows, optional square projection.
-    out = nm.mul(x, nm.tile_rows(c, n))
+    out = nm.mul(x, rows)
     if wm is not None:
         out = nm.matmul(out, wm)
     return out
@@ -106,10 +116,6 @@ class MnMBlockParams:
     norm_q_beta: Parameter | None = None
     w3: Parameter | None = None
     w4: Parameter | None = None
-
-    @property
-    def d_head(self) -> int:
-        return self.d // self.heads
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         yield prefix + "norm_mix.gamma", self.norm_mix_gamma
@@ -183,44 +189,32 @@ def init_mnm_block(
     return params
 
 
-def _match_with_query(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
-    """Per-head Match of a (d,) query onto (n,d) tokens, heads re-concatenated."""
-    if params.heads == 1:
-        wm = tape.watch(params.wm[0]) if params.wm else None
-        return match(params.match, c, x, wm)
-    dh = params.d_head
-    parts = []
-    for h in range(params.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        wm = tape.watch(params.wm[h]) if params.wm else None
-        parts.append(match(params.match, nm.slice_last(c, lo, hi), nm.slice_last(x, lo, hi), wm))
-    out = parts[0]
-    for part in parts[1:]:
-        out = nm.concat_last(out, part)
-    return out
+def _split_heads(v: Node, heads: int) -> Node:
+    """(d,) -> (H,dh) and (n,d) -> (H,n,dh): heads become the leading axis."""
+    split = nm.reshape(v, (*v.value.shape[:-1], heads, v.value.shape[-1] // heads))
+    return split if v.value.ndim == 1 else nm.transpose(split, (1, 0, 2))
 
 
-def _attention_mix_match(tape: Tape, params: MnMBlockParams, xn: Node, x: Node, mask) -> Node:
-    """Per-head attention over normalized tokens, matched onto the raw ones."""
-    dh = params.d_head
-    parts = []
-    for h in range(params.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        xn_h = nm.slice_last(xn, lo, hi) if params.heads > 1 else xn
-        x_h = nm.slice_last(x, lo, hi) if params.heads > 1 else x
-        wq = tape.watch(params.wq[h]) if params.wq else None
-        wk = tape.watch(params.wk[h]) if params.wk else None
-        parts.append(match(MatchKind.ATTENTION_MATMUL, mix(MixKind.ATTENTION, xn_h, mask, wq, wk), x_h))
-    out = parts[0]
-    for part in parts[1:]:
-        out = nm.concat_last(out, part)
-    return out
+def _merge_heads(x: Node) -> Node:
+    """(H,n,dh) -> (n,d), the inverse of `_split_heads`."""
+    heads, n, dh = x.value.shape
+    return nm.reshape(nm.transpose(x, (1, 0, 2)), (n, heads * dh))
+
+
+def _stacked(tape: Tape, per_head: list[Parameter]) -> Node | None:
+    """Per-head weights as one (H,...) node, or None when the block has none."""
+    return nm.stack_rows([tape.watch(p) for p in per_head]) if per_head else None
+
+
+def _match_heads(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
+    """Match the per-head aggregate c onto the (n,d) tokens x, heads merged back."""
+    x_heads = _split_heads(x, params.heads)
+    return _merge_heads(match(params.match, c, x_heads, _stacked(tape, params.wm)))
 
 
 def _ffn(tape: Tape, params: MnMBlockParams, z: Node, w_first: Parameter, w_second: Parameter) -> Node:
-    mm = nm.matmul if z.value.ndim == 2 else nm.vecmat
-    hidden = nm.activation(mm(z, tape.watch(w_first)), params.activation)
-    return mm(hidden, tape.watch(w_second))
+    hidden = nm.activation(nm.matmul(z, tape.watch(w_first)), params.activation)
+    return nm.matmul(hidden, tape.watch(w_second))
 
 
 def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
@@ -228,10 +222,11 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     xn = nm.layer_norm(x, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                        LAYER_NORM_EPS)
     if params.mix is MixKind.ATTENTION:
-        matched = _attention_mix_match(tape, params, xn, x, mask)
+        c = mix(params.mix, _split_heads(xn, params.heads), mask,
+                _stacked(tape, params.wq), _stacked(tape, params.wk))
     else:
-        matched = _match_with_query(tape, params, nm.masked_max_pool(xn, mask), x)
-    s = nm.add(matched, x)
+        c = _split_heads(mix(params.mix, xn, mask), params.heads)
+    s = nm.add(_match_heads(tape, params, c, x), x)
     sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),
                        LAYER_NORM_EPS)
     return nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
@@ -249,7 +244,7 @@ def mnm_query(tape: Tape, x: Node, c: Node, mask, params: MnMBlockParams) -> tup
         raise ValueError("block was not initialized as a query-variant block")
     if c.value.shape != (params.d,):
         raise DimensionError(f"query vector {c.value.shape}, expected ({params.d},)")
-    s = nm.add(_match_with_query(tape, params, c, x), x)
+    s = nm.add(_match_heads(tape, params, _split_heads(c, params.heads), x), x)
     s_mix = nm.layer_norm(s, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                           LAYER_NORM_EPS)
     c_mix = nm.masked_max_pool(s_mix, mask)

@@ -5,7 +5,9 @@ element's point tokens into a single latent vector, the ego latent then
 interacts with the road latents and with the agent latents through
 product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
 encoding. The decoder maps that encoding through independent MLP branches to
-K trajectory modes (per-step diagonal Gaussians) plus mode logits.
+K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
+branches are identically shaped, so they run as one MLP with the mode as a
+leading array axis.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class GolferConfig:
             self.d_ff = 4 * self.d
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ValueError(f"latent width {self.d} must be a positive multiple of heads {self.heads}")
+        if any(w < 1 for w in self.decoder_hidden):
+            raise ValueError(f"decoder_hidden widths {self.decoder_hidden} must all be >= 1")
         if self.k_modes < 1 or self.horizon < 1:
             raise ValueError("k_modes and horizon must be >= 1")
         if self.fe_depth < 1 or self.interact_depth < 1:
@@ -92,18 +96,18 @@ class Prediction:
 
 @dataclass
 class PredictionNodes:
-    """Graph-side prediction; one (T,2) mean/log-sigma pair per mode."""
+    """Graph-side prediction: (K,T,2) means and log-sigmas, (K,) logits."""
 
-    mode_means: list[Node]
-    mode_log_sigmas: list[Node]
+    means: Node
+    log_sigmas: Node
     logits: Node
 
     def to_prediction(self) -> Prediction:
         logits = self.logits.value.copy()
         e = np.exp(logits - logits.max())
         return Prediction(
-            means=np.stack([m.value for m in self.mode_means]),
-            log_sigmas=np.stack([s.value for s in self.mode_log_sigmas]),
+            means=self.means.value,
+            log_sigmas=self.log_sigmas.value,
             logits=logits,
             probs=e / e.sum(),
         )
@@ -239,13 +243,28 @@ def parameter_count(params: ModelParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_mlp(tape: Tape, mlp: _Mlp, v: Node, activation: str) -> Node:
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        v = nm.add(nm.vecmat(v, tape.watch(w)), tape.watch(b))
-        if i < last:
+def _run_mlp(layers: list[tuple[Node, Node]], v: Node, activation: str) -> Node:
+    """Affine layers given as (weight, bias) nodes, activated between layers."""
+    for i, (w, b) in enumerate(layers):
+        if i > 0:
             v = nm.activation(v, activation)
+        v = nm.add(nm.matmul(v, w), b)
     return v
+
+
+def _watched_layers(tape: Tape, mlp: _Mlp) -> list[tuple[Node, Node]]:
+    return [(tape.watch(w), tape.watch(b)) for w, b in zip(mlp.weights, mlp.biases)]
+
+
+def _stacked_layers(tape: Tape, mlps: list[_Mlp]) -> list[tuple[Node, Node]]:
+    """Each layer of identically shaped MLPs stacked on a leading axis:
+    (K,fan_in,fan_out) weights and (K,1,fan_out) biases."""
+    layers = []
+    for ws, bs in zip(zip(*(m.weights for m in mlps)), zip(*(m.biases for m in mlps))):
+        w = nm.stack_rows([tape.watch(p) for p in ws])
+        b = nm.stack_rows([tape.watch(p) for p in bs])
+        layers.append((w, nm.reshape(b, (len(mlps), 1, b.value.shape[1]))))
+    return layers
 
 
 def encode_element(tape: Tape, element: SceneElement, params: ModelParams) -> Node:
@@ -257,9 +276,9 @@ def encode_element(tape: Tape, element: SceneElement, params: ModelParams) -> No
     n = element.tokens.shape[0]
     tokens = nm.add(
         nm.matmul(tape.constant(element.tokens), tape.watch(proj_t.w)),
-        nm.tile_rows(tape.watch(proj_t.b), n),
+        nm.broadcast_to(tape.watch(proj_t.b), (n, params.config.d)),
     )
-    context = nm.add(nm.vecmat(tape.constant(element.context), tape.watch(proj_c.w)),
+    context = nm.add(nm.matmul(tape.constant(element.context), tape.watch(proj_c.w)),
                      tape.watch(proj_c.b))
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, element.mask, block)
@@ -302,22 +321,21 @@ def encode_scene(
     f_agent = interact(tape, f_ego, agent_latents,
                        np.ones(agent_latents.value.shape[0], dtype=bool), params.agent_interact)
     fused_in = nm.concat_last(nm.concat_last(f_ego, f_road), f_agent)
-    return _run_mlp(tape, params.fusion, fused_in, params.config.activation)
+    return _run_mlp(_watched_layers(tape, params.fusion), fused_in, params.config.activation)
 
 
 def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:
-    """Independent MLP branches: K regression heads (T,4 each) + one logit head."""
+    """K regression branches run as one MLP over a (K,1,·) mode axis, each
+    giving (T,4) per mode, plus one logit head."""
     cfg = params.config
-    mode_means, mode_log_sigmas = [], []
-    for branch in params.decoder_branches:
-        raw = nm.reshape(_run_mlp(tape, branch, f_enc, cfg.activation), (cfg.horizon, 4))
-        mode_means.append(nm.scale(nm.slice_last(raw, 0, 2), cfg.position_scale))
-        mode_log_sigmas.append(
-            nm.clamp(nm.scale(nm.slice_last(raw, 2, 4), cfg.log_sigma_scale),
-                     -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
-        )
-    logits = _run_mlp(tape, params.cls_branch, f_enc, cfg.activation)
-    return PredictionNodes(mode_means=mode_means, mode_log_sigmas=mode_log_sigmas, logits=logits)
+    modes = nm.broadcast_to(f_enc, (cfg.k_modes, 1, cfg.d))
+    raw = _run_mlp(_stacked_layers(tape, params.decoder_branches), modes, cfg.activation)
+    raw = nm.reshape(raw, (cfg.k_modes, cfg.horizon, 4))
+    means = nm.scale(nm.slice_last(raw, 0, 2), cfg.position_scale)
+    log_sigmas = nm.clamp(nm.scale(nm.slice_last(raw, 2, 4), cfg.log_sigma_scale),
+                          -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
+    logits = _run_mlp(_watched_layers(tape, params.cls_branch), f_enc, cfg.activation)
+    return PredictionNodes(means=means, log_sigmas=log_sigmas, logits=logits)
 
 
 def forward_nodes(
@@ -379,7 +397,10 @@ def load_params(path, expected_config: GolferConfig | None = None, force: bool =
     (config_len,) = struct.unpack("<I", take(4))
     raw_config = json.loads(bytes(take(config_len)).decode("utf-8"))
     raw_config["decoder_hidden"] = tuple(raw_config["decoder_hidden"])
-    config = GolferConfig(**raw_config)
+    try:
+        config = GolferConfig(**raw_config)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: bad embedded config: {exc}") from None
     if expected_config is not None and asdict(expected_config) != asdict(config) and not force:
         raise ModelFormatError(
             f"{path}: embedded config does not match the expected config (use force to override)"

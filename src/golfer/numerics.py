@@ -8,12 +8,15 @@ Leaf gradients land directly in `Parameter.grad`.
 
 Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 1-D, masks are 1-D bool arrays with True marking a valid entry. Scalars are
-0-d arrays. Normalization and softmax act along the last axis.
+0-d arrays. Normalization and softmax act along the last axis. Batched ops
+(`matmul`, `masked_softmax_rows`, the elementwise and structural ops) treat
+leading axes, such as attention heads or decoder modes, as a batch.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +55,6 @@ class Parameter:
         self.value = _as_f64(value)
         self.grad = np.zeros_like(self.value)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
@@ -84,29 +83,31 @@ class Node:
     def grad(self, value: np.ndarray) -> None:
         self._grad = value
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
 
 class Tape:
-    """Records backward closures in evaluation order; replays them reversed."""
+    """Records backward closures in evaluation order; replays them reversed.
 
-    __slots__ = ("_steps",)
+    The closures hold their nodes, so nodes hold only a weak proxy of their
+    tape: a graph is no reference cycle, and dropping the tape frees it by
+    reference count. Keep the tape referenced while ops still record on it.
+    """
+
+    __slots__ = ("_steps", "_proxy", "__weakref__")
 
     def __init__(self):
         self._steps: list[Callable[[], None]] = []
+        self._proxy = weakref.proxy(self)
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
     def constant(self, value) -> Node:
         """Wrap a value that should receive no gradient."""
-        return Node(_as_f64(value), self)
+        return Node(_as_f64(value), self._proxy)
 
     def watch(self, param: Parameter) -> Node:
         """Expose a parameter as a leaf; its grad accumulates in place."""
-        return Node(param.value, self, grad=param.grad)
+        return Node(param.value, self._proxy, grad=param.grad)
 
     def backward(self, out: Node) -> None:
         """Seed a scalar output with gradient 1 and replay the tape."""
@@ -231,38 +232,35 @@ def activation(x: Node, kind: str) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """(n,k) @ (k,m) -> (n,m)."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"matmul: {a.value.shape} x {b.value.shape}")
-    out = Node(a.value @ b.value, a.tape)
+    """(...,n,k) @ (...,k,m) -> (...,n,m) over equal leading batch dims, or
+    (k,) @ (k,m) -> (m,)."""
+    av, bv = a.value, b.value
+    if av.ndim == 1:
+        ok = bv.ndim == 2 and av.shape[0] == bv.shape[0]
+    else:
+        ok = 2 <= av.ndim == bv.ndim and av.shape[:-2] == bv.shape[:-2] and av.shape[-1] == bv.shape[-2]
+    if not ok:
+        raise DimensionError(f"matmul: {av.shape} x {bv.shape}")
+    out = Node(av @ bv, a.tape)
 
     def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        if av.ndim == 1:
+            a.grad += bv @ out.grad
+            b.grad += np.outer(av, out.grad)
+        else:
+            a.grad += out.grad @ np.swapaxes(bv, -1, -2)
+            b.grad += np.swapaxes(av, -1, -2) @ out.grad
 
     a.tape.record(backward)
     return out
 
 
-def vecmat(v: Node, w: Node) -> Node:
-    """(k,) @ (k,m) -> (m,)."""
-    if v.value.ndim != 1 or w.value.ndim != 2 or v.value.shape[0] != w.value.shape[0]:
-        raise DimensionError(f"vecmat: {v.value.shape} x {w.value.shape}")
-    out = Node(v.value @ w.value, v.tape)
+def transpose(x: Node, axes: tuple[int, ...]) -> Node:
+    """Permute axes: out.shape[i] == x.shape[axes[i]], as in np.transpose."""
+    out = Node(np.transpose(x.value, axes), x.tape)
 
     def backward():
-        v.grad += w.value @ out.grad
-        w.grad += np.outer(v.value, out.grad)
-
-    v.tape.record(backward)
-    return out
-
-
-def transpose(x: Node) -> Node:
-    out = Node(x.value.T, x.tape)
-
-    def backward():
-        x.grad += out.grad.T
+        x.grad += np.transpose(out.grad, sorted(range(len(axes)), key=axes.__getitem__))
 
     x.tape.record(backward)
     return out
@@ -302,19 +300,25 @@ def slice_last(x: Node, lo: int, hi: int) -> Node:
     return out
 
 
-def tile_rows(v: Node, n: int) -> Node:
-    """(d,) -> (n,d) by repetition."""
-    out = Node(np.tile(v.value, (n, 1)), v.tape)
+def broadcast_to(x: Node, shape: tuple[int, ...]) -> Node:
+    """Repeat x along new leading axes and its size-1 axes, as np.broadcast_to
+    does; the gradient sums over the repeats."""
+    value = np.empty(shape)
+    value[...] = x.value  # a copy: much cheaper than np.broadcast_to for small arrays
+    out = Node(value, x.tape)
 
     def backward():
-        v.grad += out.grad.sum(axis=0)
+        lead = len(shape) - x.value.ndim
+        axes = tuple(range(lead)) + tuple(lead + i for i, size in enumerate(x.value.shape)
+                                          if size == 1 and shape[lead + i] != 1)
+        x.grad += out.grad.sum(axis=axes).reshape(x.value.shape)
 
-    v.tape.record(backward)
+    x.tape.record(backward)
     return out
 
 
 def stack_rows(vs: Sequence[Node]) -> Node:
-    out = Node(np.stack([v.value for v in vs], axis=0), vs[0].tape)
+    out = Node(np.array([v.value for v in vs]), vs[0].tape)
 
     def backward():
         for i, v in enumerate(vs):
@@ -339,7 +343,7 @@ def weighted_sum(x: Node, weights) -> Node:
 
 
 def pick(v: Node, index: int) -> Node:
-    """v[index] -> scalar."""
+    """v[index] along the first axis: a scalar from a vector, a slice otherwise."""
     out = Node(np.asarray(v.value[index]), v.tape)
 
     def backward():
@@ -406,29 +410,28 @@ def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
 
 
 def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
-    """Row-wise masked softmax of an (n,n) score matrix.
+    """Row-wise masked softmax of (n,n) score matrices, with any leading axes.
 
     Invalid key columns get weight 0; rows for invalid queries are all-zero.
     """
     km = _as_mask(key_mask)
     qm = _as_mask(query_mask)
-    n = scores.value.shape[0]
-    if scores.value.shape != (n, n) or km.shape != (n,) or qm.shape != (n,):
+    n = scores.value.shape[-1]
+    if scores.value.shape[-2:] != (n, n) or km.shape != (n,) or qm.shape != (n,):
         raise DimensionError(
             f"masked_softmax_rows: scores {scores.value.shape}, masks {km.shape}/{qm.shape}"
         )
     if not km.any():
         raise EmptySetError("masked_softmax_rows: no valid keys")
-    masked = np.where(km[None, :], scores.value, -np.inf)
-    rowmax = masked.max(axis=1, keepdims=True)
-    e = np.where(km[None, :], np.exp(masked - rowmax), 0.0)
-    p = e / e.sum(axis=1, keepdims=True)
-    p[~qm, :] = 0.0
+    masked = np.where(km, scores.value, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    p[..., ~qm, :] = 0.0
     out = Node(p, scores.tape)
 
     def backward():
         g = out.grad
-        scores.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+        scores.grad += p * (g - (g * p).sum(axis=-1, keepdims=True))
 
     scores.tape.record(backward)
     return out

@@ -107,9 +107,9 @@ def total_loss_nodes(
     counted step set (valid minus the excluded goal step).
     """
     counted = _counted_steps(valid, exclusion_index)
-    means = np.stack([m.value for m in pred.mode_means])
-    winner = select_winner(means, gt, counted)
-    nll = gmm_nll_node(tape, pred.mode_means[winner], pred.mode_log_sigmas[winner], gt, counted)
+    winner = select_winner(pred.means.value, gt, counted)
+    nll = gmm_nll_node(tape, nm.pick(pred.means, winner), nm.pick(pred.log_sigmas, winner),
+                       gt, counted)
     ce = classification_loss_node(tape, pred.logits, winner)
     total = nm.add(nll, nm.scale(ce, lam))
     breakdown = LossBreakdown(
@@ -124,11 +124,9 @@ def total_loss_nodes(
 def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> LossBreakdown:
     """Value-only loss for an already-materialized Prediction."""
     tape = Tape()
-    nodes = PredictionNodes(
-        mode_means=[tape.constant(m) for m in pred.means],
-        mode_log_sigmas=[tape.constant(s) for s in pred.log_sigmas],
-        logits=tape.constant(pred.logits),
-    )
+    nodes = PredictionNodes(means=tape.constant(pred.means),
+                            log_sigmas=tape.constant(pred.log_sigmas),
+                            logits=tape.constant(pred.logits))
     return total_loss_nodes(tape, nodes, gt, valid, exclusion_index, lam)[1]
 
 
@@ -226,6 +224,9 @@ def train(
     """
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
+    for index, scene in enumerate(scenes):
+        if not scene.future_mask.any():
+            raise EmptySetError(f"scene {index} has no valid future step to train on")
     if params is None:
         params = init_model_params(model_config)
     named = list(params.named_parameters())
@@ -246,7 +247,8 @@ def train(
     for epoch in range(train_config.epochs):
         for idx in order_rng.permutation(len(scenes)):
             scene = scenes[idx]
-            gc = apply_goal_masking(scene.future, mask_rng, train_config.mask_ratio)
+            gc = apply_goal_masking(scene.future, mask_rng, train_config.mask_ratio,
+                                    scene.future_mask)
             tape = Tape()
             pred = forward_nodes(tape, scene, gc, params)
             total, breakdown = total_loss_nodes(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from golfer.cli import main
 from golfer.config import ConfigError, echo_config, parse_config, parse_config_text
-from golfer.scene import read_dataset
+from golfer.scene import read_dataset, write_dataset
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -173,6 +173,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/path.cfg")
 
+    def test_non_finite_float_names_the_key(self):
+        for line in ("data.speed_max=inf", "data.curvature_min=nan", "train.lr=-inf",
+                     "data.dt=NaN"):
+            with pytest.raises(ConfigError, match=line.split("=")[0] + ": expected a finite"):
+                parse_config_text(line)
+
+    def test_decoder_hidden_widths_must_be_positive(self):
+        for widths in ("0", "128,0", "-3"):
+            with pytest.raises(ConfigError, match="model.decoder_hidden"):
+                parse_config_text(f"model.decoder_hidden={widths}")
+
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config_text("model.d=30\nmodel.heads=4")
@@ -262,6 +273,26 @@ class TestCliErrors:
         cfg.write_text("train.mask_ratio=2.0\n")
         assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "train.mask_ratio" in capsys.readouterr().err
+
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("data.num_scenes=2\ndata.speed_max=inf\n")
+        assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "data.speed_max" in err and "Traceback" not in err
+
+    def test_scene_without_a_valid_future_step_exits_1(self, tmp_path, tiny_config, capsys):
+        data = str(tmp_path / "scenes.jsonl")
+        assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        scenes = read_dataset(data)
+        scenes[2].future_mask[:] = False
+        write_dataset(scenes, data)
+        capsys.readouterr()
+        code = main(["train", "--config", tiny_config, "--data", data,
+                     "--out", str(tmp_path / "m.mnmg")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "scene 2" in err and "Traceback" not in err
 
     def test_missing_data_file_exits_1(self, tmp_path, tiny_config, capsys):
         code = main(["train", "--config", tiny_config,

@@ -122,11 +122,21 @@ class TestEnsemblePredict:
         np.testing.assert_allclose(out.probs[order], pred.probs, atol=1e-12)
 
     def test_duplicated_model_matches_single_model(self):
-        pred = _prediction(22, k=6)
-        single = ensemble_predict([pred], 4, _rng(23))
-        doubled = ensemble_predict([pred, pred], 4, _rng(23))
-        assert (single.centroids == doubled.centroids).all()
-        assert (single.probs == doubled.probs).all()
+        # Modes that differ only in the sign of a zero are one trajectory: six
+        # modes give five clusters at most, not a NaN centroid.
+        signed_zeros = _prediction(24, k=6)
+        signed_zeros.means[4] = 0.0
+        signed_zeros.means[5] = 0.0
+        signed_zeros.means[5, 2, 1] = -0.0
+        with pytest.raises(DegenerateInputError, match="5 distinct"):
+            ensemble_predict([signed_zeros, signed_zeros], 6, _rng(25))
+        cases = [(_prediction(22, k=6), 4, 23), (signed_zeros, 5, 25)]
+        cases += [(_prediction(seed, k=5, horizon=3), k, seed) for seed in (40, 41) for k in (1, 3, 5)]
+        for pred, k, seed in cases:
+            single = ensemble_predict([pred], k, _rng(seed))
+            doubled = ensemble_predict([pred, pred], k, _rng(seed))
+            assert single.centroids.tobytes() == doubled.centroids.tobytes()
+            assert single.probs.tobytes() == doubled.probs.tobytes()
 
     def test_three_models_satisfy_fixed_point(self):
         preds = [_prediction(seed) for seed in (30, 31, 32)]

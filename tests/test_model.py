@@ -350,6 +350,19 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match=r"'fe\.0\.wm\.1'.*finite"):
             load_params(path)
 
+    def test_zero_decoder_width_rejected(self):
+        for widths in ((0,), (16, 0), (-3,)):
+            with pytest.raises(ValueError, match="decoder_hidden"):
+                GolferConfig(decoder_hidden=widths)
+
+    def test_embedded_zero_decoder_width_rejected(self, tmp_path):
+        params = init_model_params(TINY)
+        params.config.decoder_hidden = (0,)
+        path = tmp_path / "m.mnmg"
+        save_params(params, path)
+        with pytest.raises(ModelFormatError, match="decoder_hidden"):
+            load_params(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.mnmg"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

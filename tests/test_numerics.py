@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,18 @@ class TestGradientCheck:
         out = nm.scale(tape.constant(np.zeros(3)), 2.0)
         with pytest.raises(DimensionError):
             tape.backward(out)
+
+    def test_dropping_the_tape_frees_the_graph_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            tape = Tape()
+            hidden = nm.scale(tape.constant(np.ones(3)), 2.0)
+            probe = weakref.ref(hidden.value)
+            tape.backward(nm.weighted_sum(hidden, np.ones(3)))
+            del tape, hidden
+            assert probe() is None
+        finally:
+            gc.enable()
 
 
 class TestPrimitiveGradients:

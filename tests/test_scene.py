@@ -72,6 +72,37 @@ class TestGoalMasking:
                 assert gc.exclusion_index is None
         assert seen_visible > 0
 
+    def test_all_valid_draws_are_pinned(self):
+        # The first 24 draws at ratio 0.9, with and without an all-valid mask.
+        expected = [2, 12, 10, 14, 12, 2, None, 0, 2, 9, 14, 8, 14, 14, None, None, None, 6, 3,
+                    None, 7, 0, None, 14]
+        for valid in (None, np.ones(16, dtype=bool)):
+            rng = _rng(16)
+            draws = [apply_goal_masking(np.zeros((16, 2)), rng, 0.9, valid) for _ in range(24)]
+            assert [gc.exclusion_index for gc in draws] == expected
+            assert "".join(gc.placement[0] for gc in draws) == "aarrrarraaaaaaaarrraaara"
+
+    def test_reveals_only_valid_steps(self):
+        future = _rng(10).normal(size=(16, 2))
+        valid = np.ones(16, dtype=bool)
+        valid[[0, 3, 7, 8, 12, 15]] = False
+        rng = _rng(11)
+        revealed = 0
+        for _ in range(1_000):
+            gc = apply_goal_masking(future, rng, 0.5, valid)
+            assert not (gc.step_mask & ~valid).any()
+            revealed += int(gc.step_mask.any())
+        assert revealed > 0
+
+    def test_a_lone_valid_step_is_never_revealed(self):
+        future = _rng(12).normal(size=(16, 2))
+        valid = np.zeros(16, dtype=bool)
+        valid[5] = True
+        rng = _rng(13)
+        for _ in range(200):
+            gc = apply_goal_masking(future, rng, 0.0, valid)
+            assert not gc.step_mask.any() and gc.exclusion_index is None
+
     def test_mask_ratio_out_of_range(self):
         with pytest.raises(ValueError, match="mask_ratio"):
             apply_goal_masking(np.zeros((4, 2)), _rng(8), 1.5)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import golfer.numerics as nm
-from golfer.model import GolferConfig, forward, init_model_params
+from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
 from golfer.numerics import EmptySetError, Parameter, Tape
-from golfer.scene import GeneratorConfig, generate_dataset, prediction_conditioning
+from golfer.scene import (
+    GeneratorConfig,
+    apply_goal_masking,
+    generate_dataset,
+    prediction_conditioning,
+)
 from golfer.training import (
     AdamState,
     TrainConfig,
@@ -16,6 +21,7 @@ from golfer.training import (
     optimizer_step,
     select_winner,
     total_loss,
+    total_loss_nodes,
     train,
 )
 
@@ -262,3 +268,38 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             train([], TINY_MODEL, TrainConfig(epochs=1))
+
+    def test_scene_without_a_valid_future_step_rejected_before_step_0(self):
+        scenes = generate_dataset(GeneratorConfig(seed=24), 3)
+        scenes[1].future_mask[:] = False
+        params = init_model_params(TINY_MODEL)
+        before = [p.value.copy() for p in params.parameters()]
+        with pytest.raises(EmptySetError, match="scene 1"):
+            train(scenes, TINY_MODEL, TrainConfig(epochs=1), params=params)
+        assert all((p.value == b).all() for p, b in zip(params.parameters(), before))
+
+    def test_scenes_with_one_valid_step_train(self):
+        # At mask ratio 0 every step survives the coin, so a goal that could
+        # land on the lone valid step would leave no step to score.
+        scenes = generate_dataset(GeneratorConfig(seed=25), 8)
+        for index, scene in enumerate(scenes):
+            scene.future_mask[:] = False
+            scene.future_mask[index] = True
+        _, trace = train(scenes, TINY_MODEL, TrainConfig(epochs=4, mask_ratio=0.0, seed=0))
+        assert len(trace) == 32 and all(math.isfinite(rec.total) for rec in trace)
+
+
+def test_tape_records_per_default_training_sample_within_budget():
+    """Heads and modes are array axes; per-head or per-mode op loops would
+    push a default-config training sample far past this budget."""
+    scenes = generate_dataset(GeneratorConfig(seed=0), 8)
+    params = init_model_params(GolferConfig())
+    rng = _rng(0)
+    counts = []
+    for scene in scenes:
+        gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
+        tape = Tape()
+        pred = forward_nodes(tape, scene, gc, params)
+        total_loss_nodes(tape, pred, scene.future, scene.future_mask, gc.exclusion_index, 1.0)
+        counts.append(len(tape._steps))
+    assert np.mean(counts) <= 700, counts
