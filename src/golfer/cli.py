@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -123,18 +124,7 @@ def _cmd_train(args) -> int:
     trace_path = args.out + ".trace"
     with open(trace_path, "w", encoding="utf-8") as fh:
         for rec in trace:
-            fh.write(
-                to_json_text(
-                    {
-                        "epoch": rec.epoch,
-                        "step": rec.step,
-                        "regression_nll": rec.regression_nll,
-                        "classification_ce": rec.classification_ce,
-                        "total": rec.total,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(to_json_text(asdict(rec)) + "\n")
     last_epoch = trace[-1].epoch
     epoch_total = np.mean([r.total for r in trace if r.epoch == last_epoch])
     print(f"trained {cfg.train.epochs} epochs on {len(scenes)} scenes; "

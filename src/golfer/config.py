@@ -10,6 +10,7 @@ field defaults of the sections it names.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .model import GolferConfig
@@ -117,14 +118,17 @@ def _field_default(section: str, name: str, index: int | None):
 
 
 def _check_ranges(values: dict) -> None:
-    """Raise on the first bad value: single keys, then empty (min, max)
-    ranges, then the bounds on the min end of a range."""
+    """Raise on the first bad value: single keys, then empty or overflowing
+    (min, max) ranges, then the bounds on the min end of a range."""
     for key, (_, _, index, _, check) in _KEYS.items():
         if check and index != 0 and not check(values[key]):
             raise ConfigError(f"{key}: value {values[key]} out of range")
     for lo_key, hi_key in _PAIRS:
-        if values[hi_key] < values[lo_key]:
-            raise ConfigError(f"{hi_key}: range ({values[lo_key]}, {values[hi_key]}) is empty")
+        lo, hi = values[lo_key], values[hi_key]
+        if hi < lo:
+            raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is empty")
+        if hi - lo > sys.float_info.max:
+            raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is too wide")
     for lo_key, _ in _PAIRS:
         check = _KEYS[lo_key][4]
         if check and not check(values[lo_key]):

@@ -68,7 +68,7 @@ class Node:
 
     __slots__ = ("value", "_grad", "tape")
 
-    def __init__(self, value: np.ndarray, tape: "Tape", grad: np.ndarray | None = None):
+    def __init__(self, value: np.ndarray, tape: "_TapeRef", grad: np.ndarray | None = None):
         self.value = value
         self._grad = grad
         self.tape = tape
@@ -84,30 +84,43 @@ class Node:
         self._grad = value
 
 
+class _TapeRef(weakref.ref):
+    """A node's weak reference to its tape, through which its ops record."""
+
+    __slots__ = ()
+
+    def record(self, step: Callable[[], None]) -> None:
+        tape = self()
+        if tape is None:
+            raise ReferenceError("the tape of this node was dropped; keep the Tape referenced "
+                                 "while ops still record on its nodes")
+        tape.record(step)
+
+
 class Tape:
     """Records backward closures in evaluation order; replays them reversed.
 
-    The closures hold their nodes, so nodes hold only a weak proxy of their
-    tape: a graph is no reference cycle, and dropping the tape frees it by
-    reference count. Keep the tape referenced while ops still record on it.
+    The closures hold their nodes, so nodes hold only a weak reference to
+    their tape: a graph is no reference cycle, and dropping the tape frees it
+    by reference count.
     """
 
-    __slots__ = ("_steps", "_proxy", "__weakref__")
+    __slots__ = ("_steps", "_ref", "__weakref__")
 
     def __init__(self):
         self._steps: list[Callable[[], None]] = []
-        self._proxy = weakref.proxy(self)
+        self._ref = _TapeRef(self)
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
     def constant(self, value) -> Node:
         """Wrap a value that should receive no gradient."""
-        return Node(_as_f64(value), self._proxy)
+        return Node(_as_f64(value), self._ref)
 
     def watch(self, param: Parameter) -> Node:
         """Expose a parameter as a leaf; its grad accumulates in place."""
-        return Node(param.value, self._proxy, grad=param.grad)
+        return Node(param.value, self._ref, grad=param.grad)
 
     def backward(self, out: Node) -> None:
         """Seed a scalar output with gradient 1 and replay the tape."""

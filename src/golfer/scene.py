@@ -120,24 +120,22 @@ class GoalConditioning:
 
 
 def apply_goal_masking(future: np.ndarray, rng: np.random.Generator, mask_ratio: float,
-                       valid=None) -> GoalConditioning:
+                       valid: np.ndarray) -> GoalConditioning:
     """Mask the future trajectory, keeping at most one valid step visible.
 
     Each step survives independently with probability 1 - mask_ratio, and
-    only valid steps (all steps when `valid` is None) can survive; if more
-    than one survives, one of them is kept uniformly at random. Placement
-    between the agent and road sets is a fair coin. An all-valid `valid`
-    draws exactly as None does.
+    only valid steps can survive; if more than one survives, one of them is
+    kept uniformly at random. Placement between the agent and road sets is a
+    fair coin.
     """
     if not 0.0 <= mask_ratio <= 1.0:
         raise ValueError(f"mask_ratio must be in [0,1], got {mask_ratio}")
     future = np.asarray(future, dtype=np.float64)
     t_steps = future.shape[0]
+    valid = np.asarray(valid, dtype=bool)
     visible = rng.random(t_steps) < (1.0 - mask_ratio)
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        # A lone valid step stays hidden: revealing it would leave no step to score.
-        visible &= valid if valid.sum() > 1 else False
+    # A lone valid step stays hidden: revealing it would leave no step to score.
+    visible &= valid if valid.sum() > 1 else False
     hits = np.flatnonzero(visible)
     if len(hits) > 1:
         survivor = int(rng.choice(hits))

@@ -142,7 +142,7 @@ def test_criterion_4_masking_statistics():
     on_agents = 0
     max_visible = 0
     for _ in range(draws):
-        gc = apply_goal_masking(future, rng, 0.85)
+        gc = apply_goal_masking(future, rng, 0.85, np.ones(16, dtype=bool))
         visible = int(gc.step_mask.sum())
         max_visible = max(max_visible, visible)
         fully_masked += visible == 0

@@ -281,6 +281,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "data.speed_max" in err and "Traceback" not in err
 
+    def test_config_range_wider_than_a_float_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        for pair in ("data.speed_min=-1e308\ndata.speed_max=1e308",
+                     "data.curvature_min=-1e308\ndata.curvature_max=1e308"):
+            cfg.write_text(f"data.num_scenes=2\n{pair}\n")
+            assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert pair.split("\n")[1].split("=")[0] + ": range" in err and "too wide" in err
+
     def test_scene_without_a_valid_future_step_exits_1(self, tmp_path, tiny_config, capsys):
         data = str(tmp_path / "scenes.jsonl")
         assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0

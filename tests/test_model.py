@@ -201,7 +201,7 @@ class TestEncodeScene:
 
         params = init_model_params(TINY)
         scene = _scene(3)
-        gc = apply_goal_masking(scene.future, _rng(11), 0.5)
+        gc = apply_goal_masking(scene.future, _rng(11), 0.5, scene.future_mask)
         goal = encode_goal_element(gc)
         on_agents = encode_scene(Tape(), scene, params, goal=goal, placement="agents").value
         on_roads = encode_scene(Tape(), scene, params, goal=goal, placement="roads").value

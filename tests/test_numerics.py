@@ -232,6 +232,11 @@ class TestGradientCheck:
         finally:
             gc.enable()
 
+    def test_an_op_on_a_node_of_a_dropped_tape_says_so(self):
+        node = Tape().constant(np.ones(3))
+        with pytest.raises(ReferenceError, match="tape of this node was dropped"):
+            nm.scale(node, 2.0)
+
 
 class TestPrimitiveGradients:
     def test_all_primitives_within_1e4_on_20_seeded_instances(self):

@@ -20,6 +20,7 @@ from golfer.scene import (
 )
 
 FULLY_MASKED_FRACTION = 0.85 ** 16  # ~0.0743
+ALL_VALID = np.ones(16, dtype=bool)
 
 
 def _rng(seed):
@@ -29,7 +30,7 @@ def _rng(seed):
 class TestGoalMasking:
     def test_full_mask_ratio_hides_everything(self):
         future = _rng(0).normal(size=(16, 2))
-        gc = apply_goal_masking(future, _rng(1), mask_ratio=1.0)
+        gc = apply_goal_masking(future, _rng(1), mask_ratio=1.0, valid=ALL_VALID)
         assert not gc.step_mask.any()
         assert gc.exclusion_index is None
         assert (gc.masked_future == 0.0).all()
@@ -38,7 +39,7 @@ class TestGoalMasking:
         future = _rng(2).normal(size=(16, 2))
         rng = _rng(3)
         for _ in range(100_000):
-            gc = apply_goal_masking(future, rng, mask_ratio=0.85)
+            gc = apply_goal_masking(future, rng, mask_ratio=0.85, valid=ALL_VALID)
             assert gc.step_mask.sum() <= 1
 
     def test_fully_masked_fraction_matches_bernoulli_product(self):
@@ -46,7 +47,7 @@ class TestGoalMasking:
         rng = _rng(4)
         hidden = sum(
             1 for _ in range(10_000)
-            if not apply_goal_masking(future, rng, 0.85).step_mask.any()
+            if not apply_goal_masking(future, rng, 0.85, ALL_VALID).step_mask.any()
         )
         assert abs(hidden / 10_000 - FULLY_MASKED_FRACTION) < 0.01
 
@@ -55,7 +56,7 @@ class TestGoalMasking:
         rng = _rng(5)
         agents = sum(
             1 for _ in range(10_000)
-            if apply_goal_masking(future, rng, 0.85).placement == "agents"
+            if apply_goal_masking(future, rng, 0.85, ALL_VALID).placement == "agents"
         )
         assert abs(agents / 10_000 - 0.5) < 0.02
 
@@ -64,7 +65,7 @@ class TestGoalMasking:
         rng = _rng(7)
         seen_visible = 0
         for _ in range(2_000):
-            gc = apply_goal_masking(future, rng, 0.5)
+            gc = apply_goal_masking(future, rng, 0.5, ALL_VALID)
             if gc.step_mask.any():
                 seen_visible += 1
                 assert gc.step_mask[gc.exclusion_index]
@@ -73,14 +74,14 @@ class TestGoalMasking:
         assert seen_visible > 0
 
     def test_all_valid_draws_are_pinned(self):
-        # The first 24 draws at ratio 0.9, with and without an all-valid mask.
+        # The first 24 draws at ratio 0.9 with an all-valid mask, as drawn
+        # before validity was taken into account.
         expected = [2, 12, 10, 14, 12, 2, None, 0, 2, 9, 14, 8, 14, 14, None, None, None, 6, 3,
                     None, 7, 0, None, 14]
-        for valid in (None, np.ones(16, dtype=bool)):
-            rng = _rng(16)
-            draws = [apply_goal_masking(np.zeros((16, 2)), rng, 0.9, valid) for _ in range(24)]
-            assert [gc.exclusion_index for gc in draws] == expected
-            assert "".join(gc.placement[0] for gc in draws) == "aarrrarraaaaaaaarrraaara"
+        rng = _rng(16)
+        draws = [apply_goal_masking(np.zeros((16, 2)), rng, 0.9, ALL_VALID) for _ in range(24)]
+        assert [gc.exclusion_index for gc in draws] == expected
+        assert "".join(gc.placement[0] for gc in draws) == "aarrrarraaaaaaaarrraaara"
 
     def test_reveals_only_valid_steps(self):
         future = _rng(10).normal(size=(16, 2))
@@ -105,7 +106,7 @@ class TestGoalMasking:
 
     def test_mask_ratio_out_of_range(self):
         with pytest.raises(ValueError, match="mask_ratio"):
-            apply_goal_masking(np.zeros((4, 2)), _rng(8), 1.5)
+            apply_goal_masking(np.zeros((4, 2)), _rng(8), 1.5, np.ones(4, dtype=bool))
 
     def test_conditioning_rejects_two_visible_steps(self):
         with pytest.raises(ValueError, match="at most one"):
@@ -142,7 +143,7 @@ class TestGoalElement:
         rng = _rng(9)
         future = rng.normal(size=(16, 2)) * 20
         for _ in range(50):
-            gc = apply_goal_masking(future, rng, 0.6)
+            gc = apply_goal_masking(future, rng, 0.6, ALL_VALID)
             element = encode_goal_element(gc)
             visible = element.tokens[:, 2] == 1.0
             assert (visible == gc.step_mask).all()
