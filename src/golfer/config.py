@@ -67,7 +67,7 @@ _SECTIONS = {"data": GeneratorConfig, "model": GolferConfig, "train": TrainConfi
 
 # key -> (section, field, index in a (min, max) tuple field or None, parser,
 # range check or None). Declaration order is the echo order; a range's max key
-# directly follows its min key.
+# directly follows its min key. Physical bounds keep the generator finite.
 _KEYS = {
     "data.seed": ("data", "seed", None, _parse_int, None),
     "data.num_scenes": ("", "num_scenes", None, _parse_int, lambda v: v >= 1),
@@ -78,12 +78,12 @@ _KEYS = {
     "data.points_per_polyline": ("data", "points_per_polyline", None, _parse_int, lambda v: v >= 2),
     "data.history_steps": ("data", "history_steps", None, _parse_int, lambda v: v >= 2),
     "data.horizon": ("data", "horizon", None, _parse_int, lambda v: v >= 1),
-    "data.speed_min": ("data", "speed_range", 0, _parse_float, None),
-    "data.speed_max": ("data", "speed_range", 1, _parse_float, None),
-    "data.noise_scale": ("data", "noise_scale", None, _parse_float, lambda v: v >= 0),
-    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, None),
-    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, None),
-    "data.dt": ("data", "dt", None, _parse_float, lambda v: v > 0),
+    "data.speed_min": ("data", "speed_range", 0, _parse_float, lambda v: abs(v) <= 100.0),
+    "data.speed_max": ("data", "speed_range", 1, _parse_float, lambda v: abs(v) <= 100.0),
+    "data.noise_scale": ("data", "noise_scale", None, _parse_float, lambda v: 0 <= v <= 100.0),
+    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, lambda v: abs(v) <= 1.0),
+    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, lambda v: abs(v) <= 1.0),
+    "data.dt": ("data", "dt", None, _parse_float, lambda v: 0 < v <= 1000.0),
     "model.d": ("model", "d", None, _parse_int, lambda v: v >= 1),
     "model.heads": ("model", "heads", None, _parse_int, lambda v: v >= 1),
     "model.fe_depth": ("model", "fe_depth", None, _parse_int, lambda v: v >= 1),
@@ -119,9 +119,9 @@ def _field_default(section: str, name: str, index: int | None):
 
 def _check_ranges(values: dict) -> None:
     """Raise on the first bad value: single keys, then empty or overflowing
-    (min, max) ranges, then the bounds on the min end of a range."""
+    (min, max) ranges, then the bounds on each end of a range."""
     for key, (_, _, index, _, check) in _KEYS.items():
-        if check and index != 0 and not check(values[key]):
+        if check and index is None and not check(values[key]):
             raise ConfigError(f"{key}: value {values[key]} out of range")
     for lo_key, hi_key in _PAIRS:
         lo, hi = values[lo_key], values[hi_key]
@@ -129,10 +129,10 @@ def _check_ranges(values: dict) -> None:
             raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is empty")
         if hi - lo > sys.float_info.max:
             raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is too wide")
-    for lo_key, _ in _PAIRS:
-        check = _KEYS[lo_key][4]
-        if check and not check(values[lo_key]):
-            raise ConfigError(f"{lo_key}: value {values[lo_key]} out of range")
+    for key in (key for pair in _PAIRS for key in pair):
+        check = _KEYS[key][4]
+        if check and not check(values[key]):
+            raise ConfigError(f"{key}: value {values[key]} out of range")
 
 
 def _assemble(values: dict) -> RunConfig:

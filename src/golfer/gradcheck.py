@@ -90,6 +90,13 @@ def _primitive_builders():
     queries = np.array([True, True, False, True, True])
     pool_mask = np.array([True, False, True, True, False])
     weights = _rng(31).normal(size=(4, 3))
+
+    def segment_max_tied(rng):
+        """Column 2 peaks at one value in all segments: a tie across segments only."""
+        x = Parameter(rng.normal(size=(6, 4)))
+        x.value[[1, 2, 5], 2] = np.abs(x.value[:, 2]).max() + 1.0
+        return [x], lambda t: _scalarize(nm.segment_max(t.watch(x), [0, 0, 1, 1, 1, 2], 3))
+
     return {
         "add": on(nm.add, grid, grid),
         "mul": on(nm.mul, grid, grid),
@@ -111,6 +118,8 @@ def _primitive_builders():
         "masked_softmax_rows_3d": on(lambda z: nm.masked_softmax_rows(z, keys, queries),
                                      (2, 5, 5)),
         "masked_max_pool": on(lambda x: nm.masked_max_pool(x, pool_mask), (5, 6)),
+        "segment_max": segment_max_tied,
+        "take_rows": on(lambda x: nm.take_rows(x, [2, 0, 2, 1, 2]), (4, 5)),
         "concat_last": on(nm.concat_last, (3, 4), (3, 2)),
         "broadcast_to": on(lambda v: nm.broadcast_to(v, (2, 3, 4, 5)), (3, 1, 5)),
         "stack_rows": on(lambda *vs: nm.stack_rows(vs), (5,), (5,), (5,)),
@@ -150,14 +159,15 @@ def _block_builder(mix_kind: MixKind, match_kind: MatchKind, query: bool, heads:
             product_proj=(match_kind is MatchKind.PRODUCT),
         )
         x = Parameter(rng.normal(size=(n, d)))
-        c = Parameter(rng.normal(size=(d,))) if query else None
+        c = Parameter(rng.normal(size=(2, d))) if query else None
         mask = np.array([True, True, False, True, True])
+        segments = np.array([0, 0, 1, 1, 1])
         leaves = [x] + ([c] if query else []) + [p for _, p in block.named_parameters()]
 
         def fn(tape):
             if query:
-                x_out, c_out = mnm_query(tape, tape.watch(x), tape.watch(c), mask, block)
-                return _scalarize(nm.add(x_out, nm.broadcast_to(c_out, (n, d))))
+                x_out, c_out = mnm_query(tape, tape.watch(x), tape.watch(c), segments, block)
+                return _scalarize(nm.add(x_out, nm.take_rows(c_out, segments)))
             return _scalarize(mnm_basic(tape, tape.watch(x), mask, block))
 
         return leaves, fn

@@ -15,6 +15,9 @@ Mix and Match then run once over all heads as batched ops, and the result is
 merged back to (n,d) before the residual add. Feed-forward layers stay
 full-width. The coordinate-wise max makes per-group pooling identical to
 full-width pooling, so max-pool Mix runs before the split.
+
+The query-conditioned block runs E token sets at once, packed as the rows of
+one (N,d) matrix with a segment id per row and one query per segment.
 """
 
 from __future__ import annotations
@@ -66,23 +69,24 @@ def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
     """Redistribute the mixed aggregate back onto each token row.
 
     x is (...,n,dh), one token matrix per head. c is the matching (...,n,n)
-    attention or a (...,dh) pooled vector per head; wm is a (...,2dh,dh)
-    concat or (...,dh,dh) product projection per head.
+    attention, a (...,dh) pooled vector or (...,n,dh) rows per head; wm is a
+    (...,2dh,dh) concat or (...,dh,dh) product projection per head.
     """
     *lead, n, d = x.value.shape
     if kind is MatchKind.ATTENTION_MATMUL:
         if c.value.shape != (*lead, n, n):
             raise DimensionError(f"attention match: mix output {c.value.shape}, tokens {x.value.shape}")
         return nm.matmul(c, x)
-    if c.value.shape != (*lead, d):
+    if c.value.shape == (*lead, d):
+        c = nm.broadcast_to(nm.reshape(c, (*lead, 1, d)), x.value.shape)
+    elif c.value.shape != x.value.shape:
         raise DimensionError(f"{kind.value} match: mix output {c.value.shape}, tokens {x.value.shape}")
-    rows = nm.broadcast_to(nm.reshape(c, (*lead, 1, d)), x.value.shape)
     if kind is MatchKind.CONCAT:
         if wm is None:
             raise DimensionError("concat match requires a (2d,d) projection")
-        return nm.matmul(nm.concat_last(x, rows), wm)
+        return nm.matmul(nm.concat_last(x, c), wm)
     # PRODUCT: c broadcast over rows, optional square projection.
-    out = nm.mul(x, rows)
+    out = nm.mul(x, c)
     if wm is not None:
         out = nm.matmul(out, wm)
     return out
@@ -232,22 +236,26 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     return nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
 
 
-def mnm_query(tape: Tape, x: Node, c: Node, mask, params: MnMBlockParams) -> tuple[Node, Node]:
-    """Query-conditioned variant; Match runs first, on the incoming query.
+def mnm_query(tape: Tape, x: Node, c: Node, segments, params: MnMBlockParams) -> tuple[Node, Node]:
+    """Query-conditioned variant over E packed token sets; Match runs first.
 
-    S  <- Match(C, X) + X
-    C' <- Mix(Norm(S), M)
+    x is (N,d) token rows, `segments` the sorted set id of each row, and c
+    the (E,d) incoming queries, one per set.
+
+    S  <- Match(C[segments], X) + X
+    C' <- SegmentMax(Norm(S))
     X' <- FFN(Norm(S)) + S
     C''<- FFN_q(Norm(C')) + C'
     """
     if not params.query_variant:
         raise ValueError("block was not initialized as a query-variant block")
-    if c.value.shape != (params.d,):
-        raise DimensionError(f"query vector {c.value.shape}, expected ({params.d},)")
-    s = nm.add(_match_heads(tape, params, _split_heads(c, params.heads), x), x)
+    if c.value.ndim != 2 or c.value.shape[1] != params.d:
+        raise DimensionError(f"queries {c.value.shape}, expected (E,{params.d})")
+    rows = _split_heads(nm.take_rows(c, segments), params.heads)
+    s = nm.add(_match_heads(tape, params, rows, x), x)
     s_mix = nm.layer_norm(s, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                           LAYER_NORM_EPS)
-    c_mix = nm.masked_max_pool(s_mix, mask)
+    c_mix = nm.segment_max(s_mix, segments, c.value.shape[0])
     sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),
                        LAYER_NORM_EPS)
     x_out = nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)

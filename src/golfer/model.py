@@ -4,7 +4,9 @@ Encoding is hierarchical: a stack of feature-extractor (FE) blocks turns each
 element's point tokens into a single latent vector, the ego latent then
 interacts with the road latents and with the agent latents through
 product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
-encoding. The decoder maps that encoding through independent MLP branches to
+encoding. The FE stack runs once per scene, over the valid token rows of all
+its elements packed into one matrix with each row's element id as its
+segment id. The decoder maps that encoding through independent MLP branches to
 K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
 branches are identically shaped, so they run as one MLP with the mode as a
 leading array axis.
@@ -267,29 +269,39 @@ def _stacked_layers(tape: Tape, mlps: list[_Mlp]) -> list[tuple[Node, Node]]:
     return layers
 
 
-def encode_element(tape: Tape, element: SceneElement, params: ModelParams) -> Node:
-    """Project, run the FE stack, and aggregate to one latent vector."""
-    if element.num_valid == 0:
+def _kind_rows(tape: Tape, projections: dict[str, _Projection], kinds, features) -> Node:
+    """Each feature row's own kind's affine map, as one matmul: the row sits in
+    its kind's slot of a (rows, 4*width) matrix, against all kinds' weights."""
+    wide = np.zeros((len(kinds), len(_ELEMENT_KINDS), features.shape[1]))
+    wide[np.arange(len(kinds)), kinds] = features
+    w = nm.stack_rows([tape.watch(projections[kind].w) for kind in _ELEMENT_KINDS])
+    b = nm.stack_rows([tape.watch(projections[kind].b) for kind in _ELEMENT_KINDS])
+    w = nm.reshape(w, (wide[0].size, w.value.shape[2]))
+    return nm.add(nm.matmul(tape.constant(wide.reshape(len(kinds), -1)), w), nm.take_rows(b, kinds))
+
+
+def encode_element(tape: Tape, elements: list[SceneElement], params: ModelParams) -> Node:
+    """Encode E elements in one FE pass over their packed valid token rows
+    (invalid rows are dropped, not padded) -> (E,d) latents."""
+    if not elements or any(e.num_valid == 0 for e in elements):
         raise EmptySetError("cannot encode an element with no valid tokens")
-    proj_t = params.token_proj[element.kind]
-    proj_c = params.ctx_proj[element.kind]
-    n = element.tokens.shape[0]
-    tokens = nm.add(
-        nm.matmul(tape.constant(element.tokens), tape.watch(proj_t.w)),
-        nm.broadcast_to(tape.watch(proj_t.b), (n, params.config.d)),
-    )
-    context = nm.add(nm.matmul(tape.constant(element.context), tape.watch(proj_c.w)),
-                     tape.watch(proj_c.b))
+    kinds = np.array([_ELEMENT_KINDS.index(e.kind) for e in elements])
+    segments = np.repeat(np.arange(len(elements)), [e.num_valid for e in elements])
+    tokens = _kind_rows(tape, params.token_proj, kinds[segments],
+                        np.concatenate([e.tokens[e.mask] for e in elements]))
+    context = _kind_rows(tape, params.ctx_proj, kinds, np.stack([e.context for e in elements]))
     for block in params.fe_blocks:
-        tokens, context = mnm_query(tape, tokens, context, element.mask, block)
-    return nm.maximum(nm.masked_max_pool(tokens, element.mask), context)
+        tokens, context = mnm_query(tape, tokens, context, segments, block)
+    return nm.maximum(nm.segment_max(tokens, segments, len(elements)), context)
 
 
-def interact(tape: Tape, ego_latent: Node, latents: Node, mask, blocks: list[MnMBlockParams]) -> Node:
-    """Ego-conditioned set interaction; returns the final query vector."""
+def interact(tape: Tape, ego_latent: Node, latents: Node, blocks: list[MnMBlockParams]) -> Node:
+    """Ego-conditioned set interaction: the (n,d) latents are one segment
+    whose query is the (1,d) ego latent; returns the final (1,d) query."""
+    segments = np.zeros(latents.value.shape[0], dtype=int)
     context = ego_latent
     for block in blocks:
-        latents, context = mnm_query(tape, latents, context, mask, block)
+        latents, context = mnm_query(tape, latents, context, segments, block)
     return context
 
 
@@ -300,28 +312,26 @@ def encode_scene(
     goal: SceneElement | None = None,
     placement: str = PLACE_AGENTS,
 ) -> Node:
-    """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent."""
-    roads = list(scene.roads)
-    agents = list(scene.agents)
+    """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent.
+    f_E and the set latents are rows of one `encode_element` call."""
+    roads, agents = list(scene.roads), list(scene.agents)
     if goal is not None:
         (roads if placement == PLACE_ROADS else agents).append(goal)
+    roads, agents = ([e for e in group if e.num_valid > 0] for group in (roads, agents))
+    latents = encode_element(tape, [scene.ego, *roads, *agents], params)
 
-    f_ego = encode_element(tape, scene.ego, params)
-
-    def set_latents(elements: list[SceneElement], null: Parameter) -> Node:
-        usable = [e for e in elements if e.num_valid > 0]
-        if not usable:
+    def set_latents(start: int, count: int, null: Parameter) -> Node:
+        if count == 0:
             return nm.stack_rows([tape.watch(null)])
-        return nm.stack_rows([encode_element(tape, e, params) for e in usable])
+        return nm.take_rows(latents, np.arange(start, start + count))
 
-    road_latents = set_latents(roads, params.null_road)
-    agent_latents = set_latents(agents, params.null_agent)
-    f_road = interact(tape, f_ego, road_latents,
-                      np.ones(road_latents.value.shape[0], dtype=bool), params.road_interact)
-    f_agent = interact(tape, f_ego, agent_latents,
-                       np.ones(agent_latents.value.shape[0], dtype=bool), params.agent_interact)
+    f_ego = nm.take_rows(latents, [0])
+    f_road = interact(tape, f_ego, set_latents(1, len(roads), params.null_road), params.road_interact)
+    f_agent = interact(tape, f_ego, set_latents(1 + len(roads), len(agents), params.null_agent),
+                       params.agent_interact)
     fused_in = nm.concat_last(nm.concat_last(f_ego, f_road), f_agent)
-    return _run_mlp(_watched_layers(tape, params.fusion), fused_in, params.config.activation)
+    return _run_mlp(_watched_layers(tape, params.fusion), nm.reshape(fused_in, (-1,)),
+                    params.config.activation)
 
 
 def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:

@@ -11,6 +11,9 @@ Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 0-d arrays. Normalization and softmax act along the last axis. Batched ops
 (`matmul`, `masked_softmax_rows`, the elementwise and structural ops) treat
 leading axes, such as attention heads or decoder modes, as a batch.
+Sets of rows, such as the tokens of a scene's elements, are packed into one
+(N,d) matrix with a segment id per row, not padded; `take_rows` and
+`segment_max` gather to and pool from those rows.
 """
 
 from __future__ import annotations
@@ -330,6 +333,18 @@ def broadcast_to(x: Node, shape: tuple[int, ...]) -> Node:
     return out
 
 
+def take_rows(x: Node, index) -> Node:
+    """x[index] along the first axis; a repeated row's gradient sums its copies."""
+    idx = np.asarray(index, dtype=np.intp)
+    out = Node(x.value[idx], x.tape)
+
+    def backward():
+        np.add.at(x.grad, idx, out.grad)
+
+    x.tape.record(backward)
+    return out
+
+
 def stack_rows(vs: Sequence[Node]) -> Node:
     out = Node(np.array([v.value for v in vs]), vs[0].tape)
 
@@ -451,22 +466,37 @@ def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
 
 
 def masked_max_pool(x: Node, mask) -> Node:
-    """Column-wise max over valid rows of an (n,d) matrix -> (d,).
-
-    The gradient of each column routes to the first valid row achieving the
-    maximum.
-    """
+    """Column-wise max over the valid rows of an (n,d) matrix -> (d,): a
+    `segment_max` of the valid rows as one segment, with its gradient rule."""
     m = _as_mask(mask)
     if x.value.ndim != 2 or m.shape != (x.value.shape[0],):
         raise DimensionError(f"masked_max_pool: values {x.value.shape}, mask {m.shape}")
     if not m.any():
         raise EmptySetError("masked_max_pool: mask has no valid rows")
-    masked = np.where(m[:, None], x.value, -np.inf)
-    argrows = masked.argmax(axis=0)
-    out = Node(masked[argrows, np.arange(x.value.shape[1])], x.tape)
+    rows = np.flatnonzero(m)
+    pooled = segment_max(take_rows(x, rows), np.zeros(rows.size, dtype=int), 1)
+    return reshape(pooled, (x.value.shape[1],))
+
+
+def segment_max(x: Node, segments, count: int) -> Node:
+    """Column-wise max over each segment's rows: (N,d) -> (count,d). Row i is
+    in segment segments[i]; the ids run 0..count-1 in order, each over at
+    least one row. Each column's gradient routes to the first row of its
+    segment achieving the maximum."""
+    seg = np.asarray(segments)
+    steps = np.diff(seg)
+    if (x.value.ndim != 2 or seg.shape != (x.value.shape[0],) or seg.size == 0 or seg[0] != 0
+            or seg[-1] != count - 1 or ((steps != 0) & (steps != 1)).any()):
+        raise DimensionError(f"segment_max: values {x.value.shape}, segment ids must run "
+                             f"0..{count - 1} in order, each over at least one row")
+    starts = np.flatnonzero(np.r_[True, steps > 0])
+    value = np.maximum.reduceat(x.value, starts, axis=0)
+    rows = np.arange(seg.size)[:, None]
+    argrows = np.minimum.reduceat(np.where(x.value == value[seg], rows, seg.size), starts, axis=0)
+    out = Node(value, x.tape)
 
     def backward():
-        np.add.at(x.grad, (argrows, np.arange(x.value.shape[1])), out.grad)
+        x.grad[argrows, np.arange(value.shape[1])] += out.grad
 
     x.tape.record(backward)
     return out

@@ -290,6 +290,20 @@ class TestCliErrors:
             err = capsys.readouterr().err
             assert pair.split("\n")[1].split("=")[0] + ": range" in err and "too wide" in err
 
+    def test_generator_value_beyond_its_physical_bound_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        for lines, key in (("data.speed_max=1e308", "data.speed_max"),
+                           ("data.speed_min=1e300\ndata.speed_max=1e300", "data.speed_min"),
+                           ("data.speed_min=-101.0", "data.speed_min"),
+                           ("data.curvature_max=1e308", "data.curvature_max"),
+                           ("data.curvature_min=-2.0", "data.curvature_min"),
+                           ("data.dt=1e308", "data.dt"),
+                           ("data.noise_scale=1e308", "data.noise_scale")):
+            cfg.write_text(f"data.num_scenes=2\n{lines}\n")
+            assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert f"{key}: value" in err and "out of range" in err and "Traceback" not in err
+
     def test_scene_without_a_valid_future_step_exits_1(self, tmp_path, tiny_config, capsys):
         data = str(tmp_path / "scenes.jsonl")
         assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0

@@ -160,36 +160,41 @@ class TestQueryBlock:
         x, c = rng.normal(size=(5, 8)), rng.normal(size=8)
         mask = np.array([True, True, False, True, True])
         tape = Tape()
-        x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c), mask, block)
-        assert (x_out.value == x).all()
+        x_out, c_out = mnm_query(tape, tape.constant(x[mask]), tape.constant(c[None]),
+                                 np.zeros(4, dtype=int), block)
+        assert (x_out.value == x[mask]).all()
         expected_c = ref_max_pool(
             ref_layer_norm(x, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
         )
-        np.testing.assert_allclose(c_out.value, expected_c, atol=1e-15)
+        np.testing.assert_allclose(c_out.value[0], expected_c, atol=1e-15)
 
     def test_all_ones_query_with_identity_product_doubles_tokens(self):
         block = _block(12, match_kind=MatchKind.PRODUCT, query=True)
         _zero(block.w2)
         x = _rng(13).normal(size=(4, 8))
         tape = Tape()
-        x_out, _ = mnm_query(tape, tape.constant(x), tape.constant(np.ones(8)),
-                             np.ones(4, dtype=bool), block)
+        x_out, _ = mnm_query(tape, tape.constant(x), tape.constant(np.ones((1, 8))),
+                             np.zeros(4, dtype=int), block)
         np.testing.assert_allclose(x_out.value, 2.0 * x, atol=1e-15)
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("match_kind", [MatchKind.CONCAT, MatchKind.PRODUCT])
     def test_matches_dense_oracle(self, heads, match_kind):
+        """Two elements packed as two segments; each matches the oracle run
+        on that element alone."""
+        segments = np.array([0, 0, 0, 1, 1, 1])
         for seed in range(5):
             block = _block(seed, heads=heads, match_kind=match_kind, query=True,
                            product_proj=(match_kind is MatchKind.PRODUCT))
             rng = _rng(seed + 400)
-            x, c = rng.normal(size=(6, 8)), rng.normal(size=8)
-            mask = np.array([True, True, True, False, True, True])
+            x, c = rng.normal(size=(6, 8)), rng.normal(size=(2, 8))
             tape = Tape()
-            x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c), mask, block)
-            exp_x, exp_c = ref_mnm_query(block, x, c, mask)
-            np.testing.assert_allclose(x_out.value[mask], exp_x[mask], atol=1e-12)
-            np.testing.assert_allclose(c_out.value, exp_c, atol=1e-12)
+            x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c), segments, block)
+            for e in range(2):
+                rows = segments == e
+                exp_x, exp_c = ref_mnm_query(block, x[rows], c[e], np.ones(3, dtype=bool))
+                np.testing.assert_allclose(x_out.value[rows], exp_x, atol=1e-12)
+                np.testing.assert_allclose(c_out.value[e], exp_c, atol=1e-12)
 
 
 class TestMultiHead:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
 from golfer.model import (
@@ -76,25 +78,27 @@ class TestFeBlock:
         tokens, context = rng.normal(size=(5, 16)), rng.normal(size=16)
         mask = np.array([True, True, False, True, True])
         tape = Tape()
-        t_out, c_out = mnm_query(tape, tape.constant(tokens), tape.constant(context), mask, block)
-        assert (t_out.value == tokens).all()
+        t_out, c_out = mnm_query(tape, tape.constant(tokens[mask]), tape.constant(context[None]),
+                                 np.zeros(4, dtype=int), block)
+        assert (t_out.value == tokens[mask]).all()
         expected = ref_max_pool(
             ref_layer_norm(tokens, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
         )
-        np.testing.assert_allclose(c_out.value, expected, atol=1e-15)
+        np.testing.assert_allclose(c_out.value[0], expected, atol=1e-15)
 
     def test_permuting_tokens_permutes_output_and_fixes_context(self):
         block = init_mnm_block(_rng(2), 16, 2, 32, MixKind.MAX_POOL, MatchKind.CONCAT,
                                query_variant=True)
         rng = _rng(3)
         tokens, context = rng.normal(size=(6, 16)), rng.normal(size=16)
-        mask = np.ones(6, dtype=bool)
+        segments = np.zeros(6, dtype=int)
         perm = rng.permutation(6)
         tape = Tape()
-        t_base, c_base = mnm_query(tape, tape.constant(tokens), tape.constant(context), mask, block)
+        t_base, c_base = mnm_query(tape, tape.constant(tokens), tape.constant(context[None]),
+                                   segments, block)
         tape = Tape()
-        t_perm, c_perm = mnm_query(tape, tape.constant(tokens[perm]), tape.constant(context),
-                                   mask[perm], block)
+        t_perm, c_perm = mnm_query(tape, tape.constant(tokens[perm]), tape.constant(context[None]),
+                                   segments, block)
         np.testing.assert_allclose(t_perm.value, t_base.value[perm], atol=1e-12)
         np.testing.assert_allclose(c_perm.value, c_base.value, atol=1e-12)
 
@@ -110,9 +114,9 @@ class TestEncodeElement:
             context=element.context,
         )
         tape = Tape()
-        base = encode_element(tape, element, params).value
+        base = encode_element(tape, [element], params).value
         tape = Tape()
-        again = encode_element(tape, dup, params).value
+        again = encode_element(tape, [dup], params).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -122,9 +126,9 @@ class TestEncodeElement:
         permuted = SceneElement(kind=element.kind, tokens=element.tokens[perm],
                                 mask=element.mask[perm], context=element.context)
         tape = Tape()
-        base = encode_element(tape, element, params).value
+        base = encode_element(tape, [element], params).value
         tape = Tape()
-        again = encode_element(tape, permuted, params).value
+        again = encode_element(tape, [permuted], params).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -132,7 +136,7 @@ class TestEncodeElement:
         for seed in range(5):
             element = _element(seed + 10, invalid=(1,))
             tape = Tape()
-            out = encode_element(tape, element, params).value
+            (out,) = encode_element(tape, [element], params).value
             np.testing.assert_allclose(out, ref_encode_element(params, element), atol=1e-12)
 
     def test_empty_element_is_an_error(self):
@@ -140,7 +144,7 @@ class TestEncodeElement:
         element = _element(7)
         element.mask[:] = False
         with pytest.raises(EmptySetError):
-            encode_element(Tape(), element, params)
+            encode_element(Tape(), [element], params)
 
 
 class TestInteract:
@@ -153,14 +157,13 @@ class TestInteract:
         block.w4.value[...] = 0.0
         ego = _rng(9).normal(size=16)
         tape = Tape()
-        out = interact(tape, tape.constant(ego), tape.constant(np.ones((1, 16))),
-                       np.ones(1, dtype=bool), [block])
+        out = interact(tape, tape.constant(ego[None]), tape.constant(np.ones((1, 16))), [block])
         s = ego * 1.0 + 1.0  # match(c, x) + x with x = ones: c*1 + 1
         expected = ref_max_pool(
             ref_layer_norm(s[None, :], block.norm_mix_gamma.value, block.norm_mix_beta.value),
             [True],
         )
-        np.testing.assert_allclose(out.value, expected, atol=1e-15)
+        np.testing.assert_allclose(out.value[0], expected, atol=1e-15)
 
     def test_permuting_latents_changes_nothing(self):
         params = init_model_params(TINY)
@@ -168,12 +171,11 @@ class TestInteract:
         ego = rng.normal(size=16)
         latents = rng.normal(size=(5, 16))
         perm = rng.permutation(5)
-        mask = np.ones(5, dtype=bool)
         tape = Tape()
-        base = interact(tape, tape.constant(ego), tape.constant(latents), mask,
+        base = interact(tape, tape.constant(ego[None]), tape.constant(latents),
                         params.agent_interact).value
         tape = Tape()
-        again = interact(tape, tape.constant(ego), tape.constant(latents[perm]), mask,
+        again = interact(tape, tape.constant(ego[None]), tape.constant(latents[perm]),
                          params.agent_interact).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
@@ -244,6 +246,80 @@ class TestEncodeScene:
         base = encode_scene(Tape(), scene, params).value
         again = encode_scene(Tape(), padded, params).value
         assert (base == again).all()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _invalid_rows(draw, count):
+    values = draw(st.lists(_FINITE, min_size=count * TOKEN_DIM, max_size=count * TOKEN_DIM))
+    return np.array(values).reshape(count, TOKEN_DIM)
+
+
+@st.composite
+def _packing_cases(draw):
+    """A random scene; the same scene with invalid rows of arbitrary finite
+    values appended to its elements and ghost elements inserted into its
+    sets; and a permutation of each set."""
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+
+    def element(kind):
+        points = draw(st.integers(1, 6))
+        mask = rng.random(points) < 0.7
+        mask[rng.integers(points)] = True
+        return SceneElement(kind=kind, tokens=rng.normal(size=(points, TOKEN_DIM)), mask=mask,
+                            context=rng.normal(size=CTX_DIM))
+
+    def padded(e):
+        extra = draw(st.integers(0, 3))
+        return SceneElement(kind=e.kind, tokens=np.vstack([e.tokens, _invalid_rows(draw, extra)]),
+                            mask=np.append(e.mask, np.zeros(extra, dtype=bool)), context=e.context)
+
+    def with_ghosts(elements, kind):
+        out = list(elements)
+        for _ in range(draw(st.integers(0, 2))):
+            points = draw(st.integers(1, 3))
+            ghost = SceneElement(kind=kind, tokens=_invalid_rows(draw, points),
+                                 mask=np.zeros(points, dtype=bool), context=rng.normal(size=CTX_DIM))
+            out.insert(draw(st.integers(0, len(out))), ghost)
+        return out
+
+    ego = element("ego")
+    roads = [element("road") for _ in range(draw(st.integers(1, 4)))]
+    agents = [element("agent") for _ in range(draw(st.integers(0, 3)))]
+    scene = Scene(ego=ego, agents=agents, roads=roads, future=np.zeros((4, 2)),
+                  future_mask=np.ones(4, dtype=bool))
+    pads = [padded(e) for e in [ego, *roads, *agents]]
+    padded_scene = Scene(ego=pads[0], roads=with_ghosts(pads[1:1 + len(roads)], "road"),
+                         agents=with_ghosts(pads[1 + len(roads):], "agent"),
+                         future=scene.future, future_mask=scene.future_mask)
+    perms = (draw(st.permutations(range(len(roads)))), draw(st.permutations(range(len(agents)))))
+    return scene, pads, padded_scene, perms
+
+
+class TestPackingInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(_packing_cases())
+    def test_invalid_rows_ghosts_and_set_order(self, case):
+        scene, pads, padded_scene, (road_perm, agent_perm) = case
+        params = init_model_params(TINY)
+        elements = [scene.ego, *scene.roads, *scene.agents]
+        latents = encode_element(Tape(), elements, params).value
+        assert (encode_element(Tape(), pads, params).value == latents).all()
+
+        base = encode_scene(Tape(), scene, params).value
+        assert (encode_scene(Tape(), padded_scene, params).value == base).all()
+
+        roads = [scene.roads[i] for i in road_perm]
+        agents = [scene.agents[i] for i in agent_perm]
+        order = [0, *(1 + np.array(road_perm, dtype=int)),
+                 *(1 + len(roads) + np.array(agent_perm, dtype=int))]
+        permuted = encode_element(Tape(), [scene.ego, *roads, *agents], params).value
+        np.testing.assert_allclose(permuted, latents[order], rtol=0, atol=1e-12)
+        shuffled = Scene(ego=scene.ego, agents=agents, roads=roads, future=scene.future,
+                         future_mask=scene.future_mask)
+        np.testing.assert_allclose(encode_scene(Tape(), shuffled, params).value, base,
+                                   rtol=0, atol=1e-12)
 
 
 class TestDecode:

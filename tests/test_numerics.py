@@ -193,6 +193,36 @@ class TestMaskedMaxPool:
         assert gradient_check(fn, [x]) < 1e-6
 
 
+class TestSegmentOps:
+    def test_segment_max_is_the_max_pool_of_each_segment(self):
+        x = _rng(12).normal(size=(7, 4))
+        segments = np.array([0, 0, 0, 1, 2, 2, 2])
+        out = _value(lambda xx: nm.segment_max(xx, segments, 3), x)
+        expected = [ref_max_pool(x, segments == e) for e in range(3)]
+        assert (out == np.array(expected)).all()
+
+    def test_segment_max_routes_a_tie_to_the_first_row_of_its_segment(self):
+        x = Parameter(np.array([[1.0], [2.0], [2.0], [2.0], [2.0]]))
+        tape = Tape()
+        out = nm.segment_max(tape.watch(x), [0, 0, 0, 1, 1], 2)
+        tape.backward(nm.weighted_sum(out, np.ones((2, 1))))
+        assert (x.grad[:, 0] == [0.0, 1.0, 0.0, 1.0, 0.0]).all()
+
+    def test_segment_max_rejects_unsorted_and_empty_segments(self):
+        x = np.zeros((3, 2))
+        for segments, count in (([1, 0, 1], 2), ([0, 0, 2], 3), ([0, 0, 1], 3), ([0, 0], 1)):
+            with pytest.raises(DimensionError, match="in order"):
+                _value(lambda xx: nm.segment_max(xx, segments, count), x)
+
+    def test_take_rows_sums_the_gradient_of_repeated_rows(self):
+        x = Parameter(_rng(13).normal(size=(3, 2)))
+        tape = Tape()
+        out = nm.take_rows(tape.watch(x), [2, 0, 2])
+        assert (out.value == x.value[[2, 0, 2]]).all()
+        tape.backward(nm.weighted_sum(out, np.ones((3, 2))))
+        assert (x.grad == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]).all()
+
+
 class TestGradientCheck:
     def test_linear_map_is_nearly_exact(self):
         rng = _rng(11)

@@ -290,8 +290,9 @@ class TestTrainLoop:
 
 
 def test_tape_records_per_default_training_sample_within_budget():
-    """Heads and modes are array axes; per-head or per-mode op loops would
-    push a default-config training sample far past this budget."""
+    """Elements, heads and modes are array axes; a per-element, per-head or
+    per-mode op loop would push a default-config training sample far past
+    this budget."""
     scenes = generate_dataset(GeneratorConfig(seed=0), 8)
     params = init_model_params(GolferConfig())
     rng = _rng(0)
@@ -302,4 +303,15 @@ def test_tape_records_per_default_training_sample_within_budget():
         pred = forward_nodes(tape, scene, gc, params)
         total_loss_nodes(tape, pred, scene.future, scene.future_mask, gc.exclusion_index, 1.0)
         counts.append(len(tape._steps))
-    assert np.mean(counts) <= 700, counts
+    assert np.mean(counts) <= 200, counts
+
+
+def test_tape_records_per_crowded_scene_forward_within_budget():
+    """A crowded scene (about 31 elements) encodes in one FE pass, so its
+    forward records no more than a default scene's training sample."""
+    scenes = generate_dataset(GeneratorConfig(seed=0, num_roads=(16, 24), num_agents=(8, 12)), 4)
+    params = init_model_params(GolferConfig())
+    for scene in scenes:
+        tape = Tape()
+        forward_nodes(tape, scene, prediction_conditioning(scene.horizon), params)
+        assert len(tape._steps) <= 200, (len(scene.roads) + len(scene.agents), len(tape._steps))
