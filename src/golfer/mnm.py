@@ -9,8 +9,8 @@ a pre-norm transformer encoder layer; with max pooling and concatenation it
 is a far cheaper mixer with the same interface.
 
 Heads are a leading array axis. A block splits its channels into H
-contiguous groups, reshaping (n,d) tokens to (H,n,dh) and a (d,) query to
-(H,dh), and stacks its per-head Match and attention weights to (H,...).
+contiguous groups, reshaping (n,d) tokens and their (n,d) aggregate rows to
+(H,n,dh), and stacks its per-head Match and attention weights to (H,...).
 Mix and Match then run once over all heads as batched ops, and the result is
 merged back to (n,d) before the residual add. Feed-forward layers stay
 full-width. The coordinate-wise max makes per-group pooling identical to
@@ -69,7 +69,7 @@ def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
     """Redistribute the mixed aggregate back onto each token row.
 
     x is (...,n,dh), one token matrix per head. c is the matching (...,n,n)
-    attention, a (...,dh) pooled vector or (...,n,dh) rows per head; wm is a
+    attention or (...,n,dh) aggregate rows, one per token row; wm is a
     (...,2dh,dh) concat or (...,dh,dh) product projection per head.
     """
     *lead, n, d = x.value.shape
@@ -77,15 +77,13 @@ def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
         if c.value.shape != (*lead, n, n):
             raise DimensionError(f"attention match: mix output {c.value.shape}, tokens {x.value.shape}")
         return nm.matmul(c, x)
-    if c.value.shape == (*lead, d):
-        c = nm.broadcast_to(nm.reshape(c, (*lead, 1, d)), x.value.shape)
-    elif c.value.shape != x.value.shape:
+    if c.value.shape != x.value.shape:
         raise DimensionError(f"{kind.value} match: mix output {c.value.shape}, tokens {x.value.shape}")
     if kind is MatchKind.CONCAT:
         if wm is None:
             raise DimensionError("concat match requires a (2d,d) projection")
         return nm.matmul(nm.concat_last(x, c), wm)
-    # PRODUCT: c broadcast over rows, optional square projection.
+    # PRODUCT: elementwise with the aggregate rows, optional square projection.
     out = nm.mul(x, c)
     if wm is not None:
         out = nm.matmul(out, wm)
@@ -194,9 +192,9 @@ def init_mnm_block(
 
 
 def _split_heads(v: Node, heads: int) -> Node:
-    """(d,) -> (H,dh) and (n,d) -> (H,n,dh): heads become the leading axis."""
-    split = nm.reshape(v, (*v.value.shape[:-1], heads, v.value.shape[-1] // heads))
-    return split if v.value.ndim == 1 else nm.transpose(split, (1, 0, 2))
+    """(n,d) -> (H,n,dh): heads become the leading axis."""
+    n, d = v.value.shape
+    return nm.transpose(nm.reshape(v, (n, heads, d // heads)), (1, 0, 2))
 
 
 def _merge_heads(x: Node) -> Node:
@@ -229,7 +227,8 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
         c = mix(params.mix, _split_heads(xn, params.heads), mask,
                 _stacked(tape, params.wq), _stacked(tape, params.wk))
     else:
-        c = _split_heads(mix(params.mix, xn, mask), params.heads)
+        pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))
+        c = _split_heads(nm.take_rows(pooled, np.zeros(x.value.shape[0], dtype=int)), params.heads)
     s = nm.add(_match_heads(tape, params, c, x), x)
     sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),
                        LAYER_NORM_EPS)

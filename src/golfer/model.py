@@ -338,7 +338,7 @@ def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:
     """K regression branches run as one MLP over a (K,1,·) mode axis, each
     giving (T,4) per mode, plus one logit head."""
     cfg = params.config
-    modes = nm.broadcast_to(f_enc, (cfg.k_modes, 1, cfg.d))
+    modes = nm.take_rows(nm.reshape(f_enc, (1, 1, cfg.d)), np.zeros(cfg.k_modes, dtype=int))
     raw = _run_mlp(_stacked_layers(tape, params.decoder_branches), modes, cfg.activation)
     raw = nm.reshape(raw, (cfg.k_modes, cfg.horizon, 4))
     means = nm.scale(nm.slice_last(raw, 0, 2), cfg.position_scale)

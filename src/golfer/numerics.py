@@ -316,25 +316,9 @@ def slice_last(x: Node, lo: int, hi: int) -> Node:
     return out
 
 
-def broadcast_to(x: Node, shape: tuple[int, ...]) -> Node:
-    """Repeat x along new leading axes and its size-1 axes, as np.broadcast_to
-    does; the gradient sums over the repeats."""
-    value = np.empty(shape)
-    value[...] = x.value  # a copy: much cheaper than np.broadcast_to for small arrays
-    out = Node(value, x.tape)
-
-    def backward():
-        lead = len(shape) - x.value.ndim
-        axes = tuple(range(lead)) + tuple(lead + i for i, size in enumerate(x.value.shape)
-                                          if size == 1 and shape[lead + i] != 1)
-        x.grad += out.grad.sum(axis=axes).reshape(x.value.shape)
-
-    x.tape.record(backward)
-    return out
-
-
 def take_rows(x: Node, index) -> Node:
-    """x[index] along the first axis; a repeated row's gradient sums its copies."""
+    """x[index] along the first axis; a repeated row's gradient sums its copies,
+    so `take_rows(x, [0] * k)` of a (1,...) x repeats it k times."""
     idx = np.asarray(index, dtype=np.intp)
     out = Node(x.value[idx], x.tape)
 

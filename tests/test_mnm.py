@@ -75,13 +75,14 @@ class TestMatch:
         x, c = rng.normal(size=(4, 3)), rng.normal(size=3)
         wm = np.vstack([np.eye(3), np.zeros((3, 3))])
         tape = Tape()
-        out = match(MatchKind.CONCAT, tape.constant(c), tape.constant(x), tape.constant(wm))
+        out = match(MatchKind.CONCAT, tape.constant(np.tile(c, (4, 1))), tape.constant(x),
+                    tape.constant(wm))
         np.testing.assert_allclose(out.value, x, atol=1e-15)
 
     def test_product_with_ones_is_identity(self):
         x = _rng(4).normal(size=(4, 3))
         tape = Tape()
-        out = match(MatchKind.PRODUCT, tape.constant(np.ones(3)), tape.constant(x))
+        out = match(MatchKind.PRODUCT, tape.constant(np.ones((4, 3))), tape.constant(x))
         assert (out.value == x).all()
 
     def test_attention_matmul_with_identity_matrix(self):
