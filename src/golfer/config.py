@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .model import GolferConfig
-from .scene import GeneratorConfig
+from .scene import GENERATOR_BOUNDS as _BOUNDS, GeneratorConfig
 from .training import TrainConfig
 
 
@@ -78,12 +78,12 @@ _KEYS = {
     "data.points_per_polyline": ("data", "points_per_polyline", None, _parse_int, lambda v: v >= 2),
     "data.history_steps": ("data", "history_steps", None, _parse_int, lambda v: v >= 2),
     "data.horizon": ("data", "horizon", None, _parse_int, lambda v: v >= 1),
-    "data.speed_min": ("data", "speed_range", 0, _parse_float, lambda v: abs(v) <= 100.0),
-    "data.speed_max": ("data", "speed_range", 1, _parse_float, lambda v: abs(v) <= 100.0),
-    "data.noise_scale": ("data", "noise_scale", None, _parse_float, lambda v: 0 <= v <= 100.0),
-    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, lambda v: abs(v) <= 1.0),
-    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, lambda v: abs(v) <= 1.0),
-    "data.dt": ("data", "dt", None, _parse_float, lambda v: 0 < v <= 1000.0),
+    "data.speed_min": ("data", "speed_range", 0, _parse_float, _BOUNDS["speed_range"]),
+    "data.speed_max": ("data", "speed_range", 1, _parse_float, _BOUNDS["speed_range"]),
+    "data.noise_scale": ("data", "noise_scale", None, _parse_float, _BOUNDS["noise_scale"]),
+    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, _BOUNDS["curvature_range"]),
+    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, _BOUNDS["curvature_range"]),
+    "data.dt": ("data", "dt", None, _parse_float, _BOUNDS["dt"]),
     "model.d": ("model", "d", None, _parse_int, lambda v: v >= 1),
     "model.heads": ("model", "heads", None, _parse_int, lambda v: v >= 1),
     "model.fe_depth": ("model", "fe_depth", None, _parse_int, lambda v: v >= 1),

@@ -359,7 +359,7 @@ def forward_nodes(
 
 def forward(scene: Scene, gc: GoalConditioning | None, params: ModelParams) -> Prediction:
     """Inference pass; pure function of (scene, conditioning, params)."""
-    return forward_nodes(Tape(), scene, gc, params).to_prediction()
+    return forward_nodes(Tape(record=False), scene, gc, params).to_prediction()
 
 
 # ---------------------------------------------------------------------------

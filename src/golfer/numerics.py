@@ -1,10 +1,12 @@
 """Dense float64 matrix/vector ops with hand-written backward rules.
 
 Every differentiable op takes `Node` operands, computes its value eagerly with
-numpy, and records a backward closure on the owning `Tape`. Calling
-`Tape.backward` on a scalar output replays the closures in reverse evaluation
-order, accumulating vector-Jacobian products into each node's `grad` buffer.
-Leaf gradients land directly in `Parameter.grad`.
+numpy, and hands a backward closure to the owning `Tape`. Calling
+`Tape.backward` on a scalar output replays the recorded closures in reverse
+evaluation order, accumulating vector-Jacobian products into each node's
+`grad` buffer. Leaf gradients land directly in `Parameter.grad`. A value-only
+`Tape(record=False)` records nothing, for passes never differentiated; work
+only backward reads, such as masks and argmax rows, is done in the closure.
 
 Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 1-D, masks are 1-D bool arrays with True marking a valid entry. Scalars are
@@ -39,6 +41,10 @@ class EmptySetError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
+
+
+class NotRecordingError(RuntimeError):
+    """`backward` was called on a value-only tape, which recorded nothing."""
 
 
 def _as_f64(values) -> np.ndarray:
@@ -97,7 +103,8 @@ class _TapeRef(weakref.ref):
         if tape is None:
             raise ReferenceError("the tape of this node was dropped; keep the Tape referenced "
                                  "while ops still record on its nodes")
-        tape.record(step)
+        if tape.recording:
+            tape.record(step)
 
 
 class Tape:
@@ -105,14 +112,16 @@ class Tape:
 
     The closures hold their nodes, so nodes hold only a weak reference to
     their tape: a graph is no reference cycle, and dropping the tape frees it
-    by reference count.
+    by reference count. A value-only tape (`record=False`) drops the closures,
+    so each intermediate is freed once no later op reads it.
     """
 
-    __slots__ = ("_steps", "_ref", "__weakref__")
+    __slots__ = ("_steps", "_ref", "recording", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
         self._steps: list[Callable[[], None]] = []
         self._ref = _TapeRef(self)
+        self.recording = record
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
@@ -127,6 +136,8 @@ class Tape:
 
     def backward(self, out: Node) -> None:
         """Seed a scalar output with gradient 1 and replay the tape."""
+        if not self.recording:
+            raise NotRecordingError("backward on a value-only tape, which recorded nothing")
         if out.value.shape != ():
             raise DimensionError(f"backward root must be a scalar, got shape {out.value.shape}")
         out.grad += 1.0
@@ -187,10 +198,9 @@ def exp(x: Node) -> Node:
 
 def clamp(x: Node, lo: float, hi: float) -> Node:
     out = Node(np.clip(x.value, lo, hi), x.tape)
-    inside = (x.value >= lo) & (x.value <= hi)
 
     def backward():
-        x.grad += out.grad * inside
+        x.grad += out.grad * ((x.value >= lo) & (x.value <= hi))
 
     x.tape.record(backward)
     return out
@@ -201,9 +211,9 @@ def maximum(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"maximum: {a.value.shape} vs {b.value.shape}")
     out = Node(np.maximum(a.value, b.value), a.tape)
-    a_wins = a.value >= b.value
 
     def backward():
+        a_wins = a.value >= b.value
         a.grad += out.grad * a_wins
         b.grad += out.grad * ~a_wins
 
@@ -371,10 +381,9 @@ def logsumexp(v: Node) -> Node:
     e = np.exp(v.value - m)
     s = e.sum()
     out = Node(np.asarray(m + math.log(s)), v.tape)
-    soft = e / s
 
     def backward():
-        v.grad += out.grad * soft
+        v.grad += out.grad * (e / s)
 
     v.tape.record(backward)
     return out
@@ -398,9 +407,10 @@ def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
         )
     if epsilon <= 0:
         raise ValueError("layer_norm: epsilon must be positive")
-    mu = x.value.mean(axis=-1, keepdims=True)
+    # Means as sum / d: bitwise equal to ndarray.mean, without its Python wrapper.
+    mu = x.value.sum(axis=-1, keepdims=True) / d
     xc = x.value - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + epsilon)
     xhat = xc * inv_std
     out = Node(xhat * gamma.value + beta.value, x.tape)
@@ -413,8 +423,8 @@ def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
         dxhat = g * gamma.value
         x.grad += inv_std * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
 
     x.tape.record(backward)
@@ -473,14 +483,13 @@ def segment_max(x: Node, segments, count: int) -> Node:
             or seg[-1] != count - 1 or ((steps != 0) & (steps != 1)).any()):
         raise DimensionError(f"segment_max: values {x.value.shape}, segment ids must run "
                              f"0..{count - 1} in order, each over at least one row")
-    starts = np.flatnonzero(np.r_[True, steps > 0])
+    starts = np.flatnonzero(np.concatenate(([1], steps)))
     value = np.maximum.reduceat(x.value, starts, axis=0)
-    rows = np.arange(seg.size)[:, None]
-    argrows = np.minimum.reduceat(np.where(x.value == value[seg], rows, seg.size), starts, axis=0)
     out = Node(value, x.tape)
 
     def backward():
-        x.grad[argrows, np.arange(value.shape[1])] += out.grad
+        rows = np.where(x.value == value[seg], np.arange(seg.size)[:, None], seg.size)
+        x.grad[np.minimum.reduceat(rows, starts, axis=0), np.arange(value.shape[1])] += out.grad
 
     x.tape.record(backward)
     return out
@@ -500,7 +509,8 @@ def gradient_check(
     finite differences.
 
     `fn` must build the computation on the tape it is given (reading each
-    input via `tape.watch`) and return a scalar Node. Returns the max over
+    input via `tape.watch`) and return a scalar Node; the probes get value-only
+    tapes, and one that raises leaves its input restored. Returns the max over
     all input coordinates of |analytic - numeric| / max(1, |numeric|).
     """
     for p in inputs:
@@ -520,11 +530,13 @@ def gradient_check(
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
-            f_plus = float(fn(Tape()).value)
-            flat[i] = saved - step
-            f_minus = float(fn(Tape()).value)
-            flat[i] = saved
+            try:
+                flat[i] = saved + step
+                f_plus = float(fn(Tape(record=False)).value)
+                flat[i] = saved - step
+                f_minus = float(fn(Tape(record=False)).value)
+            finally:
+                flat[i] = saved
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NumericError("gradient_check: non-finite perturbed value")
             numeric = (f_plus - f_minus) / (2.0 * step)

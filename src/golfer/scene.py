@@ -180,6 +180,14 @@ def encode_goal_element(gc: GoalConditioning) -> SceneElement:
 # ---------------------------------------------------------------------------
 
 
+# Physical bounds on each end of the generator's float fields (m/s, m, 1/m,
+# s), beyond which its arc geometry overflows; the config keys check the same.
+GENERATOR_BOUNDS = {"speed_range": lambda v: abs(v) <= 100.0,
+                    "noise_scale": lambda v: 0.0 <= v <= 100.0,
+                    "curvature_range": lambda v: abs(v) <= 1.0,
+                    "dt": lambda v: 0.0 < v <= 1000.0}
+
+
 @dataclass
 class GeneratorConfig:
     seed: int = 0
@@ -204,8 +212,10 @@ class GeneratorConfig:
             raise ValueError("horizon must be >= 1")
         if self.points_per_polyline < 2 or self.history_steps < 2:
             raise ValueError("polylines and histories need at least two points")
-        if self.noise_scale < 0 or self.dt <= 0:
-            raise ValueError("noise_scale must be >= 0 and dt positive")
+        for name, within in GENERATOR_BOUNDS.items():
+            value = getattr(self, name)
+            if not all(map(within, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{name} {value} is beyond its physical bound")
 
 
 @dataclass

@@ -76,7 +76,7 @@ def gmm_nll(
     exclusion_index: int | None = None,
 ) -> float:
     """Value-only convenience wrapper over the graph builder."""
-    tape = Tape()
+    tape = Tape(record=False)
     counted = _counted_steps(valid, exclusion_index)
     return float(gmm_nll_node(tape, tape.constant(mu), tape.constant(log_sigma), gt, counted).value)
 
@@ -89,7 +89,7 @@ def classification_loss_node(tape: Tape, logits: Node, winner: int) -> Node:
 
 
 def classification_loss(logits: np.ndarray, winner: int) -> float:
-    tape = Tape()
+    tape = Tape(record=False)
     return float(classification_loss_node(tape, tape.constant(logits), winner).value)
 
 
@@ -123,7 +123,7 @@ def total_loss_nodes(
 
 def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> LossBreakdown:
     """Value-only loss for an already-materialized Prediction."""
-    tape = Tape()
+    tape = Tape(record=False)
     nodes = PredictionNodes(means=tape.constant(pred.means),
                             log_sigmas=tape.constant(pred.log_sigmas),
                             logits=tape.constant(pred.logits))

@@ -1,11 +1,13 @@
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golfer.numerics as nm
 from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
 from golfer.model import (
     GolferConfig,
@@ -14,19 +16,21 @@ from golfer.model import (
     encode_element,
     encode_scene,
     forward,
+    forward_nodes,
     init_model_params,
     interact,
     load_params,
     parameter_count,
     save_params,
 )
-from golfer.numerics import EmptySetError, Tape
+from golfer.numerics import EmptySetError, Node, Tape
 from golfer.scene import (
     CTX_DIM,
     TOKEN_DIM,
     GeneratorConfig,
     Scene,
     SceneElement,
+    apply_goal_masking,
     generate_dataset,
     prediction_conditioning,
 )
@@ -320,6 +324,39 @@ class TestPackingInvariance:
                          future_mask=scene.future_mask)
         np.testing.assert_allclose(encode_scene(Tape(), shuffled, params).value, base,
                                    rtol=0, atol=1e-12)
+
+
+WIDE = GolferConfig(d=48, heads=4, fe_depth=1, interact_depth=1, k_modes=3, horizon=4,
+                    d_ff=64, decoder_hidden=(16,), seed=6)
+
+
+def _mean_form_layer_norm(x, gamma, beta, epsilon=1e-5):
+    """`layer_norm`'s value with its means taken by `ndarray.mean`."""
+    mu = x.value.mean(axis=-1, keepdims=True)
+    xc = x.value - mu
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + epsilon)
+    return Node(xc * inv_std * gamma.value + beta.value, x.tape)
+
+
+class TestValueOnlyForward:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([TINY, WIDE]), st.floats(0.0, 1.0))
+    def test_value_only_forward_is_bitwise_the_recorded_forward(self, seed, config, mask_ratio):
+        """Also bitwise the forward with `ndarray.mean` in layer_norm: at d=48,
+        a mean taken as a sum times 1/d would move bits."""
+        generator = GeneratorConfig(seed=seed, num_roads=(1, 4), num_agents=(0, 3),
+                                    points_per_polyline=4, history_steps=4, horizon=4)
+        (scene,) = generate_dataset(generator, 1)
+        gc = apply_goal_masking(scene.future, _rng(seed), mask_ratio, scene.future_mask)
+        params = init_model_params(config)
+        value_only = forward(scene, gc, params)
+        recorded = forward_nodes(Tape(), scene, gc, params).to_prediction()
+        with mock.patch.object(nm, "layer_norm", _mean_form_layer_norm):
+            mean_form = forward(scene, gc, params)
+        for name in ("means", "log_sigmas", "logits"):
+            value = getattr(value_only, name)
+            assert (value == getattr(recorded, name)).all()
+            assert (value == getattr(mean_form, name)).all()
 
 
 class TestDecode:

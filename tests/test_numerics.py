@@ -267,6 +267,64 @@ class TestGradientCheck:
         with pytest.raises(ReferenceError, match="tape of this node was dropped"):
             nm.scale(node, 2.0)
 
+    def test_a_probe_that_raises_leaves_the_input_unperturbed(self):
+        x = Parameter(np.array([1.0, 2.0]))
+        calls = []
+
+        def fn(tape):
+            calls.append(tape)
+            if len(calls) > 1:
+                raise RuntimeError("probe failed")
+            return nm.weighted_sum(tape.watch(x), np.ones(2))
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            gradient_check(fn, [x])
+        assert (x.value == [1.0, 2.0]).all()
+
+    def test_probes_run_on_value_only_tapes(self):
+        x = Parameter(np.array([1.0, 2.0]))
+        tapes = []
+
+        def fn(tape):
+            tapes.append(tape)
+            return nm.weighted_sum(nm.exp(tape.watch(x)), np.ones(2))
+
+        gradient_check(fn, [x])
+        assert [t.recording for t in tapes] == [True] + [False] * 4
+
+
+class TestValueOnlyTape:
+    def _all_ops(self, tape):
+        """Every op once, on leaves of `tape`, reduced to a scalar."""
+        rng = _rng(14)
+        x = tape.constant(rng.normal(size=(5, 4)))
+        y = tape.constant(rng.normal(size=(5, 4)))
+        v = tape.constant(rng.normal(size=4))
+        mask = np.array([True, False, True, True, True])
+        z = nm.add(nm.mul(x, y), nm.maximum(nm.clamp(x, -0.5, 0.5), nm.scale(y, 0.3)))
+        z = nm.activation(nm.activation(nm.exp(z), "gelu"), "relu")
+        z = nm.layer_norm(z, v, v)
+        w = nm.transpose(nm.reshape(nm.concat_last(z, nm.slice_last(z, 1, 3)), (6, 5)), (1, 0))
+        attention = nm.masked_softmax_rows(nm.matmul(x, nm.transpose(y, (1, 0))), mask, mask)
+        z = nm.slice_last(nm.matmul(attention, w), 0, 4)
+        pooled = nm.segment_max(z, [0, 0, 1, 1, 1], 2)
+        s = nm.stack_rows([nm.masked_max_pool(x, mask), nm.pick(pooled, 1)])
+        total = nm.logsumexp(nm.matmul(nm.pick(s, 0), nm.take_rows(y, [1, 0, 0, 2])))
+        return nm.add(total, nm.weighted_sum(s, np.ones((2, 4))))
+
+    def test_ops_record_nothing_and_give_the_recorded_values(self):
+        value_only, recording = Tape(record=False), Tape()
+        out = self._all_ops(value_only)
+        assert value_only._steps == []
+        assert out.value == self._all_ops(recording).value
+        assert len(recording._steps) > 0
+
+    def test_backward_on_a_value_only_tape_is_a_named_error(self):
+        tape = Tape(record=False)
+        out = nm.weighted_sum(tape.constant(np.ones(3)), np.ones(3))
+        with pytest.raises(nm.NotRecordingError, match="value-only tape"):
+            tape.backward(out)
+
 
 class TestPrimitiveGradients:
     def test_all_primitives_within_1e4_on_20_seeded_instances(self):

@@ -191,6 +191,15 @@ class TestGenerator:
         write_dataset(generate_dataset(cfg, 8), pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("speed_range", (5.0, 1e308)), ("dt", 1e308), ("curvature_range", (0.0, 1e308)),
+        ("noise_scale", 1e308), ("speed_range", (float("nan"), 5.0)), ("dt", 0.0),
+        ("noise_scale", -1.0),
+    ])
+    def test_a_value_beyond_its_physical_bound_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .* beyond its physical bound"):
+            generate_dataset(GeneratorConfig(**{field: value}), 2)
+
 
 class TestDatasetIO:
     def test_round_trip_is_exact(self, tmp_path):
