@@ -121,7 +121,6 @@ def _primitive_builders():
         "segment_max": segment_max_tied,
         "take_rows": on(lambda x: nm.take_rows(x, [2, 0, 2, 1, 2]), (4, 5)),
         "concat_last": on(nm.concat_last, (3, 4), (3, 2)),
-        "stack_rows": on(lambda *vs: nm.stack_rows(vs), (5,), (5,), (5,)),
         "weighted_sum": on(lambda x: nm.weighted_sum(x, weights), (4, 3), scalar_out=True),
         "pick": on(lambda v: nm.pick(v, 2), (6,), scalar_out=True),
         "logsumexp": on(nm.logsumexp, (6,), scalar_out=True),

@@ -10,11 +10,11 @@ is a far cheaper mixer with the same interface.
 
 Heads are a leading array axis. A block splits its channels into H
 contiguous groups, reshaping (n,d) tokens and their (n,d) aggregate rows to
-(H,n,dh), and stacks its per-head Match and attention weights to (H,...).
-Mix and Match then run once over all heads as batched ops, and the result is
-merged back to (n,d) before the residual add. Feed-forward layers stay
-full-width. The coordinate-wise max makes per-group pooling identical to
-full-width pooling, so max-pool Mix runs before the split.
+(H,n,dh). Its per-head Match and attention weights are stored stacked, one
+(H,...) tensor each, so Mix and Match run once over all heads as batched ops,
+and the result is merged back to (n,d) before the residual add. Feed-forward
+layers stay full-width. The coordinate-wise max makes per-group pooling
+identical to full-width pooling, so max-pool Mix runs before the split.
 
 The query-conditioned block runs E token sets at once, packed as the rows of
 one (N,d) matrix with a segment id per row and one query per segment.
@@ -23,7 +23,7 @@ one (N,d) matrix with a segment id per row and one query per segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -92,7 +92,7 @@ def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
 
 @dataclass
 class MnMBlockParams:
-    """Weights for one block; per-head lists are indexed by head."""
+    """Weights for one block; per-head weights are stacked on a leading head axis."""
 
     d: int
     heads: int
@@ -107,12 +107,12 @@ class MnMBlockParams:
     norm_ffn_beta: Parameter
     w1: Parameter
     w2: Parameter
-    # Match projections, one per head (absent for ATTENTION_MATMUL and for
-    # PRODUCT without an explicit projection).
-    wm: list[Parameter] = field(default_factory=list)
-    # Optional learned attention projections, one per head.
-    wq: list[Parameter] = field(default_factory=list)
-    wk: list[Parameter] = field(default_factory=list)
+    # (H,...) Match projections (absent for ATTENTION_MATMUL and for PRODUCT
+    # without an explicit projection).
+    wm: Parameter | None = None
+    # Optional (H,dh,dh) learned attention projections.
+    wq: Parameter | None = None
+    wk: Parameter | None = None
     # Query-variant extras.
     norm_q_gamma: Parameter | None = None
     norm_q_beta: Parameter | None = None
@@ -126,12 +126,11 @@ class MnMBlockParams:
         yield prefix + "norm_ffn.beta", self.norm_ffn_beta
         yield prefix + "w1", self.w1
         yield prefix + "w2", self.w2
-        for h, p in enumerate(self.wm):
-            yield f"{prefix}wm.{h}", p
-        for h, p in enumerate(self.wq):
-            yield f"{prefix}wq.{h}", p
-        for h, p in enumerate(self.wk):
-            yield f"{prefix}wk.{h}", p
+        for name in ("wm", "wq", "wk"):
+            family = getattr(self, name)
+            if family is not None:
+                for h in range(self.heads):
+                    yield f"{prefix}{name}.{h}", family[h]
         if self.query_variant:
             yield prefix + "norm_q.gamma", self.norm_q_gamma
             yield prefix + "norm_q.beta", self.norm_q_beta
@@ -177,12 +176,12 @@ def init_mnm_block(
         w2=Parameter(nm.uniform_init(rng, (d_ff, d), d_ff)),
     )
     if match_kind is MatchKind.CONCAT:
-        params.wm = [Parameter(nm.uniform_init(rng, (2 * dh, dh), 2 * dh)) for _ in range(heads)]
+        params.wm = Parameter(nm.uniform_init(rng, (heads, 2 * dh, dh), 2 * dh))
     elif match_kind is MatchKind.PRODUCT and product_proj:
-        params.wm = [Parameter(nm.uniform_init(rng, (dh, dh), dh)) for _ in range(heads)]
+        params.wm = Parameter(nm.uniform_init(rng, (heads, dh, dh), dh))
     if mix_kind is MixKind.ATTENTION and attn_proj:
-        params.wq = [Parameter(np.eye(dh)) for _ in range(heads)]
-        params.wk = [Parameter(np.eye(dh)) for _ in range(heads)]
+        params.wq = Parameter(np.tile(np.eye(dh), (heads, 1, 1)))
+        params.wk = Parameter(np.tile(np.eye(dh), (heads, 1, 1)))
     if query_variant:
         params.norm_q_gamma = Parameter(np.ones(d))
         params.norm_q_beta = Parameter(np.zeros(d))
@@ -203,15 +202,15 @@ def _merge_heads(x: Node) -> Node:
     return nm.reshape(nm.transpose(x, (1, 0, 2)), (n, heads * dh))
 
 
-def _stacked(tape: Tape, per_head: list[Parameter]) -> Node | None:
-    """Per-head weights as one (H,...) node, or None when the block has none."""
-    return nm.stack_rows([tape.watch(p) for p in per_head]) if per_head else None
+def _watch_heads(tape: Tape, per_head: Parameter | None) -> Node | None:
+    """The (H,...) weights as a leaf, or None when the block has none."""
+    return tape.watch(per_head) if per_head is not None else None
 
 
 def _match_heads(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
     """Match the per-head aggregate c onto the (n,d) tokens x, heads merged back."""
     x_heads = _split_heads(x, params.heads)
-    return _merge_heads(match(params.match, c, x_heads, _stacked(tape, params.wm)))
+    return _merge_heads(match(params.match, c, x_heads, _watch_heads(tape, params.wm)))
 
 
 def _ffn(tape: Tape, params: MnMBlockParams, z: Node, w_first: Parameter, w_second: Parameter) -> Node:
@@ -225,7 +224,7 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
                        LAYER_NORM_EPS)
     if params.mix is MixKind.ATTENTION:
         c = mix(params.mix, _split_heads(xn, params.heads), mask,
-                _stacked(tape, params.wq), _stacked(tape, params.wk))
+                _watch_heads(tape, params.wq), _watch_heads(tape, params.wk))
     else:
         pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))
         c = _split_heads(nm.take_rows(pooled, np.zeros(x.value.shape[0], dtype=int)), params.heads)

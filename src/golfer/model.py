@@ -9,14 +9,15 @@ its elements packed into one matrix with each row's element id as its
 segment id. The decoder maps that encoding through independent MLP branches to
 K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
 branches are identically shaped, so they run as one MLP with the mode as a
-leading array axis.
+leading array axis. Each per-kind, per-head and per-mode weight family is
+stored as one stacked tensor; `named_parameters` yields its slices as views.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -116,13 +117,9 @@ class PredictionNodes:
 
 
 @dataclass
-class _Projection:
-    w: Parameter
-    b: Parameter
-
-
-@dataclass
 class _Mlp:
+    """Affine layers; a stacked MLP has (K,fan_in,fan_out) weights and (K,fan_out) biases."""
+
     weights: list[Parameter]
     biases: list[Parameter]
 
@@ -130,23 +127,26 @@ class _Mlp:
 @dataclass
 class ModelParams:
     config: GolferConfig
-    token_proj: dict[str, _Projection]
-    ctx_proj: dict[str, _Projection]
+    # Per-kind projections in `_ELEMENT_KINDS` order: (4,in,d) weights, (4,d) biases.
+    token_w: Parameter
+    token_b: Parameter
+    ctx_w: Parameter
+    ctx_b: Parameter
     fe_blocks: list[MnMBlockParams]
     null_road: Parameter
     null_agent: Parameter
     road_interact: list[MnMBlockParams]
     agent_interact: list[MnMBlockParams]
     fusion: _Mlp
-    decoder_branches: list[_Mlp]
+    decoder: _Mlp
     cls_branch: _Mlp
 
     def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
-        for kind in _ELEMENT_KINDS:
-            yield f"proj.{kind}.token.w", self.token_proj[kind].w
-            yield f"proj.{kind}.token.b", self.token_proj[kind].b
-            yield f"proj.{kind}.ctx.w", self.ctx_proj[kind].w
-            yield f"proj.{kind}.ctx.b", self.ctx_proj[kind].b
+        for k, kind in enumerate(_ELEMENT_KINDS):
+            yield f"proj.{kind}.token.w", self.token_w[k]
+            yield f"proj.{kind}.token.b", self.token_b[k]
+            yield f"proj.{kind}.ctx.w", self.ctx_w[k]
+            yield f"proj.{kind}.ctx.b", self.ctx_b[k]
         for i, block in enumerate(self.fe_blocks):
             yield from block.named_parameters(f"fe.{i}.")
         yield "null.road", self.null_road
@@ -157,10 +157,10 @@ class ModelParams:
         for i, (w, b) in enumerate(zip(self.fusion.weights, self.fusion.biases)):
             yield f"fusion.{i}.w", w
             yield f"fusion.{i}.b", b
-        for k, branch in enumerate(self.decoder_branches):
-            for i, (w, b) in enumerate(zip(branch.weights, branch.biases)):
-                yield f"decoder.{k}.{i}.w", w
-                yield f"decoder.{k}.{i}.b", b
+        for k in range(self.config.k_modes):
+            for i, (w, b) in enumerate(zip(self.decoder.weights, self.decoder.biases)):
+                yield f"decoder.{k}.{i}.w", w[k]
+                yield f"decoder.{k}.{i}.b", b[k]
         for i, (w, b) in enumerate(zip(self.cls_branch.weights, self.cls_branch.biases)):
             yield f"cls.{i}.w", w
             yield f"cls.{i}.b", b
@@ -186,16 +186,12 @@ def init_model_params(config: GolferConfig) -> ModelParams:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d = config.d
 
-    token_proj, ctx_proj = {}, {}
-    for kind in _ELEMENT_KINDS:
-        token_proj[kind] = _Projection(
-            w=Parameter(nm.uniform_init(rng, (config.token_dim, d), config.token_dim)),
-            b=Parameter(np.zeros(d)),
-        )
-        ctx_proj[kind] = _Projection(
-            w=Parameter(nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)),
-            b=Parameter(np.zeros(d)),
-        )
+    kinds = len(_ELEMENT_KINDS)
+    token_w = Parameter(np.empty((kinds, config.token_dim, d)))
+    ctx_w = Parameter(np.empty((kinds, config.ctx_dim, d)))
+    for k in range(kinds):  # kind by kind, token weight before context weight
+        token_w.value[k] = nm.uniform_init(rng, (config.token_dim, d), config.token_dim)
+        ctx_w.value[k] = nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)
 
     def query_block(match_kind: MatchKind, product_proj: bool = False) -> MnMBlockParams:
         return init_mnm_block(
@@ -219,19 +215,27 @@ def init_model_params(config: GolferConfig) -> ModelParams:
                       for _ in range(config.interact_depth)]
     fusion = _init_mlp(rng, [3 * d, d, d])
     branch_widths = [d, *config.decoder_hidden, 4 * config.horizon]
-    decoder_branches = [_init_mlp(rng, branch_widths) for _ in range(config.k_modes)]
+    # Drawn branch by branch, each into its slot of the leading mode axis.
+    shapes = list(zip(branch_widths[:-1], branch_widths[1:]))
+    decoder = _Mlp(weights=[Parameter(np.empty((config.k_modes, *shape))) for shape in shapes],
+                   biases=[Parameter(np.zeros((config.k_modes, fan_out))) for _, fan_out in shapes])
+    for k in range(config.k_modes):
+        for w, shape in zip(decoder.weights, shapes):
+            w.value[k] = nm.uniform_init(rng, shape, shape[0])
     cls_branch = _init_mlp(rng, [d, *config.decoder_hidden, config.k_modes])
     return ModelParams(
         config=config,
-        token_proj=token_proj,
-        ctx_proj=ctx_proj,
+        token_w=token_w,
+        token_b=Parameter(np.zeros((kinds, d))),
+        ctx_w=ctx_w,
+        ctx_b=Parameter(np.zeros((kinds, d))),
         fe_blocks=fe_blocks,
         null_road=null_road,
         null_agent=null_agent,
         road_interact=road_interact,
         agent_interact=agent_interact,
         fusion=fusion,
-        decoder_branches=decoder_branches,
+        decoder=decoder,
         cls_branch=cls_branch,
     )
 
@@ -258,26 +262,15 @@ def _watched_layers(tape: Tape, mlp: _Mlp) -> list[tuple[Node, Node]]:
     return [(tape.watch(w), tape.watch(b)) for w, b in zip(mlp.weights, mlp.biases)]
 
 
-def _stacked_layers(tape: Tape, mlps: list[_Mlp]) -> list[tuple[Node, Node]]:
-    """Each layer of identically shaped MLPs stacked on a leading axis:
-    (K,fan_in,fan_out) weights and (K,1,fan_out) biases."""
-    layers = []
-    for ws, bs in zip(zip(*(m.weights for m in mlps)), zip(*(m.biases for m in mlps))):
-        w = nm.stack_rows([tape.watch(p) for p in ws])
-        b = nm.stack_rows([tape.watch(p) for p in bs])
-        layers.append((w, nm.reshape(b, (len(mlps), 1, b.value.shape[1]))))
-    return layers
-
-
-def _kind_rows(tape: Tape, projections: dict[str, _Projection], kinds, features) -> Node:
+def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
     """Each feature row's own kind's affine map, as one matmul: the row sits in
-    its kind's slot of a (rows, 4*width) matrix, against all kinds' weights."""
+    its kind's slot of a (rows, 4*width) matrix, against all kinds' (4,width,d)
+    weights w; b holds the (4,d) biases."""
     wide = np.zeros((len(kinds), len(_ELEMENT_KINDS), features.shape[1]))
     wide[np.arange(len(kinds)), kinds] = features
-    w = nm.stack_rows([tape.watch(projections[kind].w) for kind in _ELEMENT_KINDS])
-    b = nm.stack_rows([tape.watch(projections[kind].b) for kind in _ELEMENT_KINDS])
-    w = nm.reshape(w, (wide[0].size, w.value.shape[2]))
-    return nm.add(nm.matmul(tape.constant(wide.reshape(len(kinds), -1)), w), nm.take_rows(b, kinds))
+    w_rows = nm.reshape(tape.watch(w), (wide[0].size, w.value.shape[2]))
+    return nm.add(nm.matmul(tape.constant(wide.reshape(len(kinds), -1)), w_rows),
+                  nm.take_rows(tape.watch(b), kinds))
 
 
 def encode_element(tape: Tape, elements: list[SceneElement], params: ModelParams) -> Node:
@@ -287,9 +280,10 @@ def encode_element(tape: Tape, elements: list[SceneElement], params: ModelParams
         raise EmptySetError("cannot encode an element with no valid tokens")
     kinds = np.array([_ELEMENT_KINDS.index(e.kind) for e in elements])
     segments = np.repeat(np.arange(len(elements)), [e.num_valid for e in elements])
-    tokens = _kind_rows(tape, params.token_proj, kinds[segments],
+    tokens = _kind_rows(tape, params.token_w, params.token_b, kinds[segments],
                         np.concatenate([e.tokens[e.mask] for e in elements]))
-    context = _kind_rows(tape, params.ctx_proj, kinds, np.stack([e.context for e in elements]))
+    context = _kind_rows(tape, params.ctx_w, params.ctx_b, kinds,
+                         np.stack([e.context for e in elements]))
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, segments, block)
     return nm.maximum(nm.segment_max(tokens, segments, len(elements)), context)
@@ -322,7 +316,7 @@ def encode_scene(
 
     def set_latents(start: int, count: int, null: Parameter) -> Node:
         if count == 0:
-            return nm.stack_rows([tape.watch(null)])
+            return nm.reshape(tape.watch(null), (1, params.config.d))
         return nm.take_rows(latents, np.arange(start, start + count))
 
     f_ego = nm.take_rows(latents, [0])
@@ -339,7 +333,9 @@ def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:
     giving (T,4) per mode, plus one logit head."""
     cfg = params.config
     modes = nm.take_rows(nm.reshape(f_enc, (1, 1, cfg.d)), np.zeros(cfg.k_modes, dtype=int))
-    raw = _run_mlp(_stacked_layers(tape, params.decoder_branches), modes, cfg.activation)
+    layers = [(w, nm.reshape(b, (cfg.k_modes, 1, b.value.shape[1])))
+              for w, b in _watched_layers(tape, params.decoder)]
+    raw = _run_mlp(layers, modes, cfg.activation)
     raw = nm.reshape(raw, (cfg.k_modes, cfg.horizon, 4))
     means = nm.scale(nm.slice_last(raw, 0, 2), cfg.position_scale)
     log_sigmas = nm.clamp(nm.scale(nm.slice_last(raw, 2, 4), cfg.log_sigma_scale),
@@ -385,6 +381,9 @@ def save_params(params: ModelParams, path) -> None:
             fh.write(p.value.astype("<f8").tobytes())
 
 
+_CONFIG_KEYS = {f.name for f in fields(GolferConfig)}
+
+
 def load_params(path, expected_config: GolferConfig | None = None, force: bool = False) -> ModelParams:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -405,11 +404,13 @@ def load_params(path, expected_config: GolferConfig | None = None, force: bool =
     if version != MODEL_VERSION:
         raise ModelFormatError(f"{path}: unsupported model version {version}")
     (config_len,) = struct.unpack("<I", take(4))
-    raw_config = json.loads(bytes(take(config_len)).decode("utf-8"))
-    raw_config["decoder_hidden"] = tuple(raw_config["decoder_hidden"])
+    config_blob = bytes(take(config_len))
     try:
+        raw_config = json.loads(config_blob.decode("utf-8"))
+        if not isinstance(raw_config, dict) or raw_config.keys() != _CONFIG_KEYS:
+            raise ValueError(f"not a JSON object with exactly the keys {sorted(_CONFIG_KEYS)}")
         config = GolferConfig(**raw_config)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad embedded config: {exc}") from None
     if expected_config is not None and asdict(expected_config) != asdict(config) and not force:
         raise ModelFormatError(

@@ -56,13 +56,20 @@ def _as_mask(bits) -> np.ndarray:
 
 
 class Parameter:
-    """A trainable value with a same-shaped gradient accumulator."""
+    """A trainable value with a same-shaped gradient accumulator.
+
+    `p[i]` is slice i of a stacked parameter, with `value` and `grad` as views
+    of p's, so a family of per-head or per-mode weights is stored once.
+    """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value):
+    def __init__(self, value, grad: np.ndarray | None = None):
         self.value = _as_f64(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
+
+    def __getitem__(self, index) -> "Parameter":
+        return Parameter(self.value[index], self.grad[index])
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -336,17 +343,6 @@ def take_rows(x: Node, index) -> Node:
         np.add.at(x.grad, idx, out.grad)
 
     x.tape.record(backward)
-    return out
-
-
-def stack_rows(vs: Sequence[Node]) -> Node:
-    out = Node(np.array([v.value for v in vs]), vs[0].tape)
-
-    def backward():
-        for i, v in enumerate(vs):
-            v.grad += out.grad[i]
-
-    vs[0].tape.record(backward)
     return out
 
 

@@ -11,7 +11,7 @@ carries no information about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,17 +137,19 @@ def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> Loss
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    lr: float
+    beta1: float
+    beta2: float
+    epsilon: float
+    step_count: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
 
     @classmethod
-    def create(cls, named_params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def create(cls, named_params, train_config: TrainConfig) -> "AdamState":
+        """Zero moments per named parameter; rates and betas from `train_config`."""
+        state = cls(lr=train_config.lr, beta1=train_config.beta1, beta2=train_config.beta2,
+                    epsilon=train_config.epsilon, step_count=0, m={}, v={})
         for name, p in named_params:
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
@@ -155,13 +157,18 @@ class AdamState:
 
 
 def optimizer_step(named_params: list[tuple[str, Parameter]], state: AdamState) -> None:
-    """Bias-corrected adaptive-moment update; grads are reset afterwards."""
+    """Bias-corrected adaptive-moment update; grads are reset afterwards.
+
+    Every gradient is checked before any state changes, so a non-finite one
+    leaves values, grads, moments and the step count as they were.
+    """
+    for name, p in named_params:
+        if not np.isfinite(p.grad).all():
+            raise TrainingError(f"non-finite gradient in parameter {name!r}")
     state.step_count += 1
     t = state.step_count
     for name, p in named_params:
         g = p.grad
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -230,13 +237,7 @@ def train(
     if params is None:
         params = init_model_params(model_config)
     named = list(params.named_parameters())
-    state = AdamState.create(
-        named,
-        lr=train_config.lr,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        epsilon=train_config.epsilon,
-    )
+    state = AdamState.create(named, train_config)
     order_seed, mask_seed = np.random.SeedSequence(train_config.seed).spawn(2)
     order_rng = np.random.Generator(np.random.PCG64(order_seed))
     mask_rng = np.random.Generator(np.random.PCG64(mask_seed))

@@ -2,7 +2,8 @@
 
 Everything here recomputes results directly from definitions, with no tape,
 no shared code paths with the package internals beyond reading parameter
-values.
+values. Weights are read by their model-file names through
+`named_parameters()`, never through how the package stores them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ def ref_attention_rows(scores, key_mask, query_mask):
 # ---------------------------------------------------------------------------
 
 
+def named_values(params):
+    """Each tensor's value by its name in `params.named_parameters()`."""
+    return {name: p.value for name, p in params.named_parameters()}
+
+
 def _head_slices(d, heads):
     dh = d // heads
     return [(h * dh, (h + 1) * dh) for h in range(heads)]
@@ -66,16 +72,17 @@ def _head_slices(d, heads):
 def ref_match(block, c, x):
     """Per-head Match of a d-vector onto (n,d) tokens."""
     n, d = x.shape
+    w = named_values(block)
     parts = []
     for h, (lo, hi) in enumerate(_head_slices(d, block.heads)):
         c_h, x_h = c[lo:hi], x[:, lo:hi]
         kind = block.match.value
         if kind == "concat":
-            parts.append(np.hstack([x_h, np.tile(c_h, (n, 1))]) @ block.wm[h].value)
+            parts.append(np.hstack([x_h, np.tile(c_h, (n, 1))]) @ w[f"wm.{h}"])
         elif kind == "product":
             out = x_h * c_h
-            if block.wm:
-                out = out @ block.wm[h].value
+            if f"wm.{h}" in w:
+                out = out @ w[f"wm.{h}"]
             parts.append(out)
         else:
             raise ValueError(kind)
@@ -84,32 +91,34 @@ def ref_match(block, c, x):
 
 def ref_mnm_basic(block, x, mask):
     """C <- Mix(Norm(X)); S <- Match(C,X)+X; X <- act(Norm(S)W1)W2 + S."""
-    xn = ref_layer_norm(x, block.norm_mix_gamma.value, block.norm_mix_beta.value)
+    w = named_values(block)
+    xn = ref_layer_norm(x, w["norm_mix.gamma"], w["norm_mix.beta"])
     if block.mix.value == "attention":
         parts = []
         for h, (lo, hi) in enumerate(_head_slices(block.d, block.heads)):
             xn_h = xn[:, lo:hi]
-            q = xn_h @ block.wq[h].value if block.wq else xn_h
-            k = xn_h @ block.wk[h].value if block.wk else xn_h
+            q = xn_h @ w[f"wq.{h}"] if f"wq.{h}" in w else xn_h
+            k = xn_h @ w[f"wk.{h}"] if f"wk.{h}" in w else xn_h
             attn = ref_attention_rows(q @ k.T / math.sqrt(hi - lo), mask, mask)
             parts.append(attn @ x[:, lo:hi])
         matched = np.hstack(parts)
     else:
         matched = ref_match(block, ref_max_pool(xn, mask), x)
     s = matched + x
-    sn = ref_layer_norm(s, block.norm_ffn_gamma.value, block.norm_ffn_beta.value)
-    return ref_act(sn @ block.w1.value, block.activation) @ block.w2.value + s
+    sn = ref_layer_norm(s, w["norm_ffn.gamma"], w["norm_ffn.beta"])
+    return ref_act(sn @ w["w1"], block.activation) @ w["w2"] + s
 
 
 def ref_mnm_query(block, x, c, mask):
     """S <- Match(C,X)+X; C' <- Mix(Norm(S)); X',C'' by residual FFNs."""
+    w = named_values(block)
     s = ref_match(block, c, x) + x
-    s_mix = ref_layer_norm(s, block.norm_mix_gamma.value, block.norm_mix_beta.value)
+    s_mix = ref_layer_norm(s, w["norm_mix.gamma"], w["norm_mix.beta"])
     c_mix = ref_max_pool(s_mix, mask)
-    sn = ref_layer_norm(s, block.norm_ffn_gamma.value, block.norm_ffn_beta.value)
-    x_out = ref_act(sn @ block.w1.value, block.activation) @ block.w2.value + s
-    cn = ref_layer_norm(c_mix, block.norm_q_gamma.value, block.norm_q_beta.value)
-    c_out = ref_act(cn @ block.w3.value, block.activation) @ block.w4.value + c_mix
+    sn = ref_layer_norm(s, w["norm_ffn.gamma"], w["norm_ffn.beta"])
+    x_out = ref_act(sn @ w["w1"], block.activation) @ w["w2"] + s
+    cn = ref_layer_norm(c_mix, w["norm_q.gamma"], w["norm_q.beta"])
+    c_out = ref_act(cn @ w["w3"], block.activation) @ w["w4"] + c_mix
     return x_out, c_out
 
 
@@ -140,20 +149,21 @@ def ref_prenorm_transformer_layer(x, mask, heads, ln1_g, ln1_b, ln2_g, ln2_b, w1
 # ---------------------------------------------------------------------------
 
 
-def ref_mlp(mlp, v, activation):
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        v = v @ w.value + b.value
+def ref_mlp(weights, prefix, v, activation):
+    """The MLP whose layer i is named `{prefix}.{i}.w` and `{prefix}.{i}.b`."""
+    last = sum(1 for name in weights if name.startswith(prefix + ".") and name.endswith(".w")) - 1
+    for i in range(last + 1):
+        v = v @ weights[f"{prefix}.{i}.w"] + weights[f"{prefix}.{i}.b"]
         if i < last:
             v = ref_act(v, activation)
     return v
 
 
 def ref_encode_element(params, element):
-    proj_t = params.token_proj[element.kind]
-    proj_c = params.ctx_proj[element.kind]
-    tokens = element.tokens @ proj_t.w.value + proj_t.b.value
-    context = element.context @ proj_c.w.value + proj_c.b.value
+    w = named_values(params)
+    proj = f"proj.{element.kind}"
+    tokens = element.tokens @ w[f"{proj}.token.w"] + w[f"{proj}.token.b"]
+    context = element.context @ w[f"{proj}.ctx.w"] + w[f"{proj}.ctx.b"]
     for block in params.fe_blocks:
         tokens, context = ref_mnm_query(block, tokens, context, element.mask)
     return np.maximum(ref_max_pool(tokens, element.mask), context)
@@ -168,6 +178,7 @@ def ref_interact(blocks, ego, latents):
 
 
 def ref_encode_scene(params, scene, goal=None, placement="agents"):
+    w = named_values(params)
     roads = list(scene.roads)
     agents = list(scene.agents)
     if goal is not None:
@@ -176,23 +187,24 @@ def ref_encode_scene(params, scene, goal=None, placement="agents"):
     agents = [e for e in agents if e.mask.any()]
     f_ego = ref_encode_element(params, scene.ego)
     road_lat = (np.stack([ref_encode_element(params, e) for e in roads])
-                if roads else params.null_road.value[None, :])
+                if roads else w["null.road"][None, :])
     agent_lat = (np.stack([ref_encode_element(params, e) for e in agents])
-                 if agents else params.null_agent.value[None, :])
+                 if agents else w["null.agent"][None, :])
     f_road = ref_interact(params.road_interact, f_ego, road_lat)
     f_agent = ref_interact(params.agent_interact, f_ego, agent_lat)
     fused = np.concatenate([f_ego, f_road, f_agent])
-    return ref_mlp(params.fusion, fused, params.config.activation)
+    return ref_mlp(w, "fusion", fused, params.config.activation)
 
 
 def ref_decode(params, f_enc):
     cfg = params.config
+    w = named_values(params)
     means, log_sigmas = [], []
-    for branch in params.decoder_branches:
-        raw = ref_mlp(branch, f_enc, cfg.activation).reshape(cfg.horizon, 4)
+    for k in range(cfg.k_modes):
+        raw = ref_mlp(w, f"decoder.{k}", f_enc, cfg.activation).reshape(cfg.horizon, 4)
         means.append(raw[:, 0:2] * cfg.position_scale)
         log_sigmas.append(np.clip(raw[:, 2:4] * cfg.log_sigma_scale, -5.0, 5.0))
-    logits = ref_mlp(params.cls_branch, f_enc, cfg.activation)
+    logits = ref_mlp(w, "cls", f_enc, cfg.activation)
     e = np.exp(logits - logits.max())
     return np.stack(means), np.stack(log_sigmas), logits, e / e.sum()
 

@@ -1,4 +1,7 @@
 import json
+import re
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from golfer.cli import main
 from golfer.config import ConfigError, echo_config, parse_config, parse_config_text
+from golfer.model import MODEL_MAGIC, MODEL_VERSION, GolferConfig, ModelFormatError, load_params
 from golfer.scene import read_dataset, write_dataset
 
 TINY_CONFIG = """
@@ -373,6 +377,30 @@ class TestCliErrors:
             err = capsys.readouterr().err
             assert code == 1, command[0]
             assert "scene 6" in err and "horizon 8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config_blob", [
+        b"[1,2]",
+        b'"x"',
+        b'{"d": 64}',
+        b'{"decoder_hidden": [128], "bogus": 1}',
+        json.dumps({**asdict(GolferConfig()), "bogus": 1}).encode(),
+        b"{",
+        b"\xff",
+    ], ids=["list", "string", "missing-keys", "unknown-key", "extra-key", "bad-json", "bad-utf8"])
+    def test_corrupt_embedded_model_config_exits_1(self, tmp_path, tiny_config, capsys,
+                                                   config_blob):
+        data = str(tmp_path / "scenes.jsonl")
+        assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        model = tmp_path / "corrupt.mnmg"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(config_blob))
+                          + config_blob)
+        with pytest.raises(ModelFormatError, match=re.escape(f"{model}: bad embedded config")):
+            load_params(model)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", tiny_config, "--data", data,
+                     "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and "Traceback" not in err
 
     def test_gradcheck_failure_exits_nonzero(self, monkeypatch, capsys):
         import golfer.cli as cli_mod

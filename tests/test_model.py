@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golfer.numerics as nm
+from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
 from golfer.model import (
     GolferConfig,
@@ -26,6 +28,10 @@ from golfer.model import (
 from golfer.numerics import EmptySetError, Node, Tape
 from golfer.scene import (
     CTX_DIM,
+    KIND_AGENT,
+    KIND_EGO,
+    KIND_GOAL,
+    KIND_ROAD,
     TOKEN_DIM,
     GeneratorConfig,
     Scene,
@@ -34,6 +40,7 @@ from golfer.scene import (
     generate_dataset,
     prediction_conditioning,
 )
+from golfer.training import total_loss_nodes
 
 from oracles import (
     ref_decode,
@@ -362,7 +369,7 @@ class TestValueOnlyForward:
 class TestDecode:
     def test_zero_weights_give_zero_means_and_uniform_probs(self):
         params = init_model_params(TINY)
-        for branch in params.decoder_branches + [params.cls_branch]:
+        for branch in (params.decoder, params.cls_branch):
             for p in branch.weights + branch.biases:
                 p.value[...] = 0.0
         tape = Tape()
@@ -408,6 +415,75 @@ class TestForward:
             assert pred.means.shape == (3, 4, 2)
             assert pred.log_sigmas.shape == (3, 4, 2)
             assert pred.probs.shape == (3,)
+
+
+INTERACT_PROJ = GolferConfig(heads=2, interact_proj=True, decoder_hidden=(32, 16))
+
+
+class TestStackedLayout:
+    """Weight families are stored stacked; `named_parameters` yields each
+    slice under its own name as a view of its family."""
+
+    def _family_slice(self, params, name):
+        """The (family, index) that `name` is a slice of, read from the layout."""
+        parts = name.split(".")
+        if parts[0] == "proj":
+            kinds = (KIND_ROAD, KIND_AGENT, KIND_EGO, KIND_GOAL)
+            return getattr(params, f"{parts[2]}_{parts[3]}"), kinds.index(parts[1])
+        if parts[0] == "decoder":
+            layers = params.decoder.weights if parts[3] == "w" else params.decoder.biases
+            return layers[int(parts[2])], int(parts[1])
+        if parts[-2] in ("wm", "wq", "wk"):
+            blocks = (params.fe_blocks if parts[0] == "fe"
+                      else getattr(params, f"{parts[1]}_interact"))
+            return getattr(blocks[int(parts[-3])], parts[-2]), int(parts[-1])
+        return None
+
+    def test_named_slice_grads_are_their_family_grads(self):
+        config = GolferConfig(d=16, heads=2, fe_depth=2, interact_depth=1, k_modes=3, horizon=4,
+                              d_ff=32, decoder_hidden=(16,), interact_proj=True, seed=4)
+        params = init_model_params(config)
+        named = list(params.named_parameters())  # taken before backward, as training does
+        scene = _scene(21)
+        gc = apply_goal_masking(scene.future, _rng(22), 0.85, scene.future_mask)
+        tape = Tape()
+        total, _ = total_loss_nodes(tape, forward_nodes(tape, scene, gc, params), scene.future,
+                                    scene.future_mask, gc.exclusion_index, 1.0)
+        tape.backward(total)
+        sliced = 0
+        for name, p in named:
+            found = self._family_slice(params, name)
+            if found is None:
+                continue
+            family, index = found
+            assert (p.grad == family.grad[index]).all(), name
+            assert (p.value == family.value[index]).all(), name
+            sliced += 1
+        # 16 projection slices, 2 FE blocks and 2 interaction blocks with 2 heads
+        # each, and 3 modes of a 2-layer decoder.
+        assert sliced == 16 + 4 * 2 + 3 * 4
+        assert np.abs(params.decoder.weights[1].grad).sum() > 0.0
+
+    def test_writing_a_named_slice_changes_only_its_mode(self):
+        params = init_model_params(TINY)
+        scene = _scene(23)
+        gc = prediction_conditioning(4)
+        before = forward(scene, gc, params)
+        dict(params.named_parameters())["decoder.1.0.w"].value[...] += 0.5
+        after = forward(scene, gc, params)
+        changed = (before.means != after.means).any(axis=(1, 2))
+        assert changed.tolist() == [False, True, False]
+        assert (before.logits == after.logits).all()
+
+    @pytest.mark.parametrize("config, digest", [
+        (GRADCHECK_TINY, "e25a2c57abdf8aab7628ba184344287d29ba7a3e27c237256b03aca1380fba58"),
+        (INTERACT_PROJ, "8ac05c4b11731d42d15f743a276bf0a93ee414225bb519e60e290b5bb0cbc61a"),
+    ])
+    def test_model_file_bytes_are_pinned(self, tmp_path, config, digest):
+        """The stacked layout writes the per-slice file the per-tensor layout wrote."""
+        path = tmp_path / "m.mnmg"
+        save_params(init_model_params(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestModelFiles:

@@ -308,7 +308,7 @@ class TestValueOnlyTape:
         attention = nm.masked_softmax_rows(nm.matmul(x, nm.transpose(y, (1, 0))), mask, mask)
         z = nm.slice_last(nm.matmul(attention, w), 0, 4)
         pooled = nm.segment_max(z, [0, 0, 1, 1, 1], 2)
-        s = nm.stack_rows([nm.masked_max_pool(x, mask), nm.pick(pooled, 1)])
+        s = nm.reshape(nm.concat_last(nm.masked_max_pool(x, mask), nm.pick(pooled, 1)), (2, 4))
         total = nm.logsumexp(nm.matmul(nm.pick(s, 0), nm.take_rows(y, [1, 0, 0, 2])))
         return nm.add(total, nm.weighted_sum(s, np.ones((2, 4))))
 
@@ -349,3 +349,16 @@ class TestParameter:
         out = nm.weighted_sum(nm.scale(tape.watch(p), 2.0), np.ones(3))
         tape.backward(out)
         assert (p.grad == 2.0).all()
+
+    def test_a_slice_views_its_family_value_and_grad(self):
+        family = Parameter(_rng(15).normal(size=(3, 2, 4)))
+        weights = _rng(16).normal(size=(3, 2, 4))
+        tape = Tape()
+        tape.backward(nm.weighted_sum(tape.watch(family), weights))
+        head = family[1]
+        assert (head.grad == weights[1]).all()
+        head.value[0, 0] = 7.0
+        assert family.value[1, 0, 0] == 7.0
+        head.zero_grad()
+        assert (family.grad[1] == 0.0).all()
+        assert (family.grad[[0, 2]] == weights[[0, 2]]).all()

@@ -193,7 +193,7 @@ class TestOptimizer:
         p = Parameter(_rng(9).normal(size=(3, 3)))
         before = p.value.copy()
         named = [("w", p)]
-        state = AdamState.create(named)
+        state = AdamState.create(named, TrainConfig())
         optimizer_step(named, state)
         assert (p.value == before).all()
         assert state.step_count == 1
@@ -201,7 +201,7 @@ class TestOptimizer:
     def test_quadratic_convergence(self):
         w = Parameter(np.array([3.0]))
         named = [("w", w)]
-        state = AdamState.create(named, lr=0.05)
+        state = AdamState.create(named, TrainConfig(lr=0.05))
         for _ in range(500):
             tape = Tape()
             node = tape.watch(w)
@@ -215,7 +215,7 @@ class TestOptimizer:
             rng = _rng(10)
             p = Parameter(rng.normal(size=(4, 4)))
             named = [("w", p)]
-            state = AdamState.create(named, lr=0.01)
+            state = AdamState.create(named, TrainConfig(lr=0.01))
             for _ in range(50):
                 p.grad += rng.normal(size=(4, 4))
                 optimizer_step(named, state)
@@ -224,12 +224,21 @@ class TestOptimizer:
         assert run() == run()
 
     def test_non_finite_grad_names_the_parameter(self):
-        p = Parameter(np.ones(2))
-        p.grad[0] = np.inf
-        named = [("fusion.0.w", p)]
-        state = AdamState.create(named)
-        with pytest.raises(TrainingError, match="fusion.0.w"):
+        good, bad = Parameter(np.ones(2)), Parameter(np.ones(2))
+        good.grad[...] = 0.5
+        bad.grad[0] = np.nan
+        named = [("fusion.0.b", good), ("fusion.1.w", bad)]
+        state = AdamState.create(named, TrainConfig())
+        before = [(p.value.copy(), p.grad.copy()) for _, p in named]
+        with pytest.raises(TrainingError, match=r"'fusion\.1\.w'"):
             optimizer_step(named, state)
+        # Nothing was half-applied: the step is checked whole before it is taken.
+        for (_, p), (value, grad) in zip(named, before):
+            assert (p.value == value).all()
+            np.testing.assert_array_equal(p.grad, grad)
+        for moments in (state.m, state.v):
+            assert all((m == 0.0).all() for m in moments.values())
+        assert state.step_count == 0
 
 
 TINY_MODEL = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3,
