@@ -478,9 +478,9 @@ class TestStackedLayout:
     @pytest.mark.parametrize("config, digest", [
         (GRADCHECK_TINY, "e25a2c57abdf8aab7628ba184344287d29ba7a3e27c237256b03aca1380fba58"),
         (INTERACT_PROJ, "8ac05c4b11731d42d15f743a276bf0a93ee414225bb519e60e290b5bb0cbc61a"),
-    ])
+    ], ids=["gradcheck-tiny", "interact-proj"])
     def test_model_file_bytes_are_pinned(self, tmp_path, config, digest):
-        """The stacked layout writes the per-slice file the per-tensor layout wrote."""
+        """Model files are pinned byte for byte: a storage layout must not move them."""
         path = tmp_path / "m.mnmg"
         save_params(init_model_params(config), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
