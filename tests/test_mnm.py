@@ -96,7 +96,7 @@ class TestBasicBlock:
     def test_zero_weights_give_exact_identity(self):
         for heads in (1, 2):
             block = _block(6, heads=heads)
-            _zero(block.w2, *block.wm)
+            _zero(block.w2, block.wm)
             x = _rng(7).normal(size=(5, 8))
             tape = Tape()
             out = mnm_basic(tape, tape.constant(x), np.ones(5, dtype=bool), block)
@@ -156,7 +156,7 @@ class TestBasicBlock:
 class TestQueryBlock:
     def test_zero_weights_identity_and_pooled_query(self):
         block = _block(10, query=True)
-        _zero(block.w2, block.w4, *block.wm)
+        _zero(block.w2, block.w4, block.wm)
         rng = _rng(11)
         x, c = rng.normal(size=(5, 8)), rng.normal(size=8)
         mask = np.array([True, True, False, True, True])

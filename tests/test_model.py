@@ -83,8 +83,7 @@ class TestFeBlock:
                                query_variant=True)
         block.w2.value[...] = 0.0
         block.w4.value[...] = 0.0
-        for p in block.wm:
-            p.value[...] = 0.0
+        block.wm.value[...] = 0.0
         rng = _rng(1)
         tokens, context = rng.normal(size=(5, 16)), rng.normal(size=16)
         mask = np.array([True, True, False, True, True])

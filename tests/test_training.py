@@ -224,21 +224,22 @@ class TestOptimizer:
         assert run() == run()
 
     def test_non_finite_grad_names_the_parameter(self):
-        good, bad = Parameter(np.ones(2)), Parameter(np.ones(2))
-        good.grad[...] = 0.5
-        bad.grad[0] = np.nan
-        named = [("fusion.0.b", good), ("fusion.1.w", bad)]
-        state = AdamState.create(named, TrainConfig())
-        before = [(p.value.copy(), p.grad.copy()) for _, p in named]
-        with pytest.raises(TrainingError, match=r"'fusion\.1\.w'"):
-            optimizer_step(named, state)
-        # Nothing was half-applied: the step is checked whole before it is taken.
-        for (_, p), (value, grad) in zip(named, before):
-            assert (p.value == value).all()
-            np.testing.assert_array_equal(p.grad, grad)
-        for moments in (state.m, state.v):
-            assert all((m == 0.0).all() for m in moments.values())
-        assert state.step_count == 0
+        for non_finite in (np.inf, -np.inf, np.nan):
+            good, bad = Parameter(np.ones(2)), Parameter(np.ones(2))
+            good.grad[...] = 0.5
+            bad.grad[0] = non_finite
+            named = [("fusion.0.b", good), ("fusion.1.w", bad)]
+            state = AdamState.create(named, TrainConfig())
+            before = [(p.value.copy(), p.grad.copy()) for _, p in named]
+            with pytest.raises(TrainingError, match=r"'fusion\.1\.w'"):
+                optimizer_step(named, state)
+            # Nothing was half-applied: the step is checked whole before it is taken.
+            for (_, p), (value, grad) in zip(named, before):
+                assert (p.value == value).all()
+                np.testing.assert_array_equal(p.grad, grad)
+            for moments in (state.m, state.v):
+                assert all((m == 0.0).all() for m in moments.values())
+            assert state.step_count == 0
 
 
 TINY_MODEL = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3,
