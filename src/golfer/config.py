@@ -93,7 +93,7 @@ _KEYS = {
     "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list,
                              lambda v: min(v) >= 1),
     "model.activation": ("model", "activation", None, _parse_activation, None),
-    "model.seed": ("model", "seed", None, _parse_int, None),
+    "model.seed": ("model", "seed", None, _parse_int, lambda v: v >= 0),
     "model.position_scale": ("model", "position_scale", None, _parse_float, lambda v: v > 0),
     "model.log_sigma_scale": ("model", "log_sigma_scale", None, _parse_float, lambda v: v > 0),
     "model.interact_proj": ("model", "interact_proj", None, _parse_bool, None),

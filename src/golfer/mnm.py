@@ -137,9 +137,23 @@ class MnMBlockParams:
             yield prefix + "w3", self.w3
             yield prefix + "w4", self.w4
 
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Norm gains 1, shifts 0, attention projections the identity, and the
+        rest uniform in +-1/sqrt(fan_in), drawn from rng in the order w1, w2,
+        wm, w3, w4."""
+        for gamma in (self.norm_mix_gamma, self.norm_ffn_gamma, self.norm_q_gamma):
+            if gamma is not None:
+                gamma.value[...] = 1.0
+        for proj in (self.wq, self.wk):
+            if proj is not None:
+                proj.value[...] = np.eye(self.d // self.heads)
+        for w in (self.w1, self.w2, self.wm, self.w3, self.w4):
+            if w is not None:
+                w.value[...] = nm.uniform_init(rng, w.value.shape, w.value.shape[-2])
 
-def init_mnm_block(
-    rng: np.random.Generator,
+
+def declare_mnm_block(
+    arena: nm.Arena,
     d: int,
     heads: int,
     d_ff: int,
@@ -150,6 +164,8 @@ def init_mnm_block(
     attn_proj: bool = False,
     product_proj: bool = False,
 ) -> MnMBlockParams:
+    """A block whose weights are declared in `arena`; `initialize` them once it
+    is allocated."""
     if d % heads != 0:
         raise ValueError(f"embedding dim {d} not divisible by {heads} heads")
     if (mix_kind is MixKind.ATTENTION) != (match_kind is MatchKind.ATTENTION_MATMUL):
@@ -168,25 +184,35 @@ def init_mnm_block(
         match=match_kind,
         activation=activation,
         query_variant=query_variant,
-        norm_mix_gamma=Parameter(np.ones(d)),
-        norm_mix_beta=Parameter(np.zeros(d)),
-        norm_ffn_gamma=Parameter(np.ones(d)),
-        norm_ffn_beta=Parameter(np.zeros(d)),
-        w1=Parameter(nm.uniform_init(rng, (d, d_ff), d)),
-        w2=Parameter(nm.uniform_init(rng, (d_ff, d), d_ff)),
+        norm_mix_gamma=arena.param((d,)),
+        norm_mix_beta=arena.param((d,)),
+        norm_ffn_gamma=arena.param((d,)),
+        norm_ffn_beta=arena.param((d,)),
+        w1=arena.param((d, d_ff)),
+        w2=arena.param((d_ff, d)),
     )
     if match_kind is MatchKind.CONCAT:
-        params.wm = Parameter(nm.uniform_init(rng, (heads, 2 * dh, dh), 2 * dh))
+        params.wm = arena.param((heads, 2 * dh, dh))
     elif match_kind is MatchKind.PRODUCT and product_proj:
-        params.wm = Parameter(nm.uniform_init(rng, (heads, dh, dh), dh))
+        params.wm = arena.param((heads, dh, dh))
     if mix_kind is MixKind.ATTENTION and attn_proj:
-        params.wq = Parameter(np.tile(np.eye(dh), (heads, 1, 1)))
-        params.wk = Parameter(np.tile(np.eye(dh), (heads, 1, 1)))
+        params.wq = arena.param((heads, dh, dh))
+        params.wk = arena.param((heads, dh, dh))
     if query_variant:
-        params.norm_q_gamma = Parameter(np.ones(d))
-        params.norm_q_beta = Parameter(np.zeros(d))
-        params.w3 = Parameter(nm.uniform_init(rng, (d, d_ff), d))
-        params.w4 = Parameter(nm.uniform_init(rng, (d_ff, d), d_ff))
+        params.norm_q_gamma = arena.param((d,))
+        params.norm_q_beta = arena.param((d,))
+        params.w3 = arena.param((d, d_ff))
+        params.w4 = arena.param((d_ff, d))
+    return params
+
+
+def init_mnm_block(rng: np.random.Generator, d: int, heads: int, d_ff: int, mix_kind: MixKind,
+                   match_kind: MatchKind, **options) -> MnMBlockParams:
+    """A stand-alone block in an arena of its own; `options` as in `declare_mnm_block`."""
+    arena = nm.Arena()
+    params = declare_mnm_block(arena, d, heads, d_ff, mix_kind, match_kind, **options)
+    arena.allocate()
+    params.initialize(rng)
     return params
 
 

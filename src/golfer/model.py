@@ -11,11 +11,14 @@ K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
 branches are identically shaped, so they run as one MLP with the mode as a
 leading array axis. Each per-kind, per-head and per-mode weight family is
 stored as one stacked tensor; `named_parameters` yields its slices as views.
+Every family is in turn a view of one flat value buffer and one flat grad
+buffer, so the optimizer and the grad reset act on the whole model at once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator
@@ -23,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numerics as nm
-from .mnm import MatchKind, MixKind, MnMBlockParams, init_mnm_block, mnm_query
+from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
 from .numerics import EmptySetError, Node, Parameter, Tape
 from .scene import (
     CTX_DIM,
@@ -51,6 +54,21 @@ class ModelFormatError(ValueError):
     """A model file's magic, version, config, or tensor shapes are wrong."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation -> (check, expected form): a config embedded in a model
+# file arrives as JSON, so its values are checked by type, not only by key.
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+              "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass
 class GolferConfig:
     d: int = 64
@@ -70,7 +88,17 @@ class GolferConfig:
     ctx_dim: int = CTX_DIM
 
     def __post_init__(self):
-        self.decoder_hidden = tuple(int(w) for w in self.decoder_hidden)
+        for f in fields(self):
+            check, expected = _FIELD_CHECKS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if check is not None and not check(value):
+                raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+        if not isinstance(self.decoder_hidden, (tuple, list)) or not all(
+                _is_int(w) for w in self.decoder_hidden):
+            raise ValueError(f"decoder_hidden: expected integers, got {self.decoder_hidden!r}")
+        self.decoder_hidden = tuple(self.decoder_hidden)
+        if self.seed < 0:
+            raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
@@ -126,7 +154,12 @@ class _Mlp:
 
 @dataclass
 class ModelParams:
+    """Every weight family as a view of one flat value buffer and one flat
+    grad buffer, `values` and `grads`, laid out in declaration order."""
+
     config: GolferConfig
+    values: np.ndarray
+    grads: np.ndarray
     # Per-kind projections in `_ELEMENT_KINDS` order: (4,in,d) weights, (4,d) biases.
     token_w: Parameter
     token_b: Parameter
@@ -169,79 +202,72 @@ class ModelParams:
         return [p for _, p in self.named_parameters()]
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
-def _init_mlp(rng: np.random.Generator, widths: list[int]) -> _Mlp:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(Parameter(nm.uniform_init(rng, (fan_in, fan_out), fan_in)))
-        biases.append(Parameter(np.zeros(fan_out)))
-    return _Mlp(weights=weights, biases=biases)
+def _declare_params(config: GolferConfig) -> ModelParams:
+    """The model's weight families in one allocated arena, every value zero."""
+    arena = nm.Arena()
+    d, kinds = config.d, len(_ELEMENT_KINDS)
+
+    def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False):
+        return [declare_mnm_block(arena, d=d, heads=config.heads, d_ff=config.d_ff,
+                                  mix_kind=MixKind.MAX_POOL, match_kind=match_kind,
+                                  activation=config.activation, query_variant=True,
+                                  product_proj=product_proj) for _ in range(count)]
+
+    def mlp(widths: list[int], lead: tuple[int, ...] = ()) -> _Mlp:
+        shapes = list(zip(widths[:-1], widths[1:]))
+        return _Mlp(weights=[arena.param((*lead, *shape)) for shape in shapes],
+                    biases=[arena.param((*lead, fan_out)) for _, fan_out in shapes])
+
+    families = dict(
+        token_w=arena.param((kinds, config.token_dim, d)),
+        token_b=arena.param((kinds, d)),
+        ctx_w=arena.param((kinds, config.ctx_dim, d)),
+        ctx_b=arena.param((kinds, d)),
+        fe_blocks=query_blocks(config.fe_depth, MatchKind.CONCAT),
+        null_road=arena.param((d,)),
+        null_agent=arena.param((d,)),
+        road_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj),
+        agent_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj),
+        fusion=mlp([3 * d, d, d]),
+        decoder=mlp([d, *config.decoder_hidden, 4 * config.horizon], lead=(config.k_modes,)),
+        cls_branch=mlp([d, *config.decoder_hidden, config.k_modes]),
+    )
+    values, grads = arena.allocate()
+    return ModelParams(config=config, values=values, grads=grads, **families)
 
 
 def init_model_params(config: GolferConfig) -> ModelParams:
-    """Deterministic parameter construction; count and order depend only on config."""
+    """Deterministic parameter construction; count and order depend only on config.
+
+    Weights are uniform in +-1/sqrt(fan_in), drawn in this order; biases and
+    norm shifts start at 0, norm gains at 1."""
+    params = _declare_params(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d = config.d
-
-    kinds = len(_ELEMENT_KINDS)
-    token_w = Parameter(np.empty((kinds, config.token_dim, d)))
-    ctx_w = Parameter(np.empty((kinds, config.ctx_dim, d)))
-    for k in range(kinds):  # kind by kind, token weight before context weight
-        token_w.value[k] = nm.uniform_init(rng, (config.token_dim, d), config.token_dim)
-        ctx_w.value[k] = nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)
-
-    def query_block(match_kind: MatchKind, product_proj: bool = False) -> MnMBlockParams:
-        return init_mnm_block(
-            rng,
-            d=d,
-            heads=config.heads,
-            d_ff=config.d_ff,
-            mix_kind=MixKind.MAX_POOL,
-            match_kind=match_kind,
-            activation=config.activation,
-            query_variant=True,
-            product_proj=product_proj,
-        )
-
-    fe_blocks = [query_block(MatchKind.CONCAT) for _ in range(config.fe_depth)]
-    null_road = Parameter(nm.uniform_init(rng, (d,), d))
-    null_agent = Parameter(nm.uniform_init(rng, (d,), d))
-    road_interact = [query_block(MatchKind.PRODUCT, config.interact_proj)
-                     for _ in range(config.interact_depth)]
-    agent_interact = [query_block(MatchKind.PRODUCT, config.interact_proj)
-                      for _ in range(config.interact_depth)]
-    fusion = _init_mlp(rng, [3 * d, d, d])
-    branch_widths = [d, *config.decoder_hidden, 4 * config.horizon]
-    # Drawn branch by branch, each into its slot of the leading mode axis.
-    shapes = list(zip(branch_widths[:-1], branch_widths[1:]))
-    decoder = _Mlp(weights=[Parameter(np.empty((config.k_modes, *shape))) for shape in shapes],
-                   biases=[Parameter(np.zeros((config.k_modes, fan_out))) for _, fan_out in shapes])
-    for k in range(config.k_modes):
-        for w, shape in zip(decoder.weights, shapes):
-            w.value[k] = nm.uniform_init(rng, shape, shape[0])
-    cls_branch = _init_mlp(rng, [d, *config.decoder_hidden, config.k_modes])
-    return ModelParams(
-        config=config,
-        token_w=token_w,
-        token_b=Parameter(np.zeros((kinds, d))),
-        ctx_w=ctx_w,
-        ctx_b=Parameter(np.zeros((kinds, d))),
-        fe_blocks=fe_blocks,
-        null_road=null_road,
-        null_agent=null_agent,
-        road_interact=road_interact,
-        agent_interact=agent_interact,
-        fusion=fusion,
-        decoder=decoder,
-        cls_branch=cls_branch,
-    )
+    for k in range(len(_ELEMENT_KINDS)):  # kind by kind, token weight before context weight
+        params.token_w.value[k] = nm.uniform_init(rng, (config.token_dim, d), config.token_dim)
+        params.ctx_w.value[k] = nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)
+    for block in params.fe_blocks:
+        block.initialize(rng)
+    params.null_road.value[...] = nm.uniform_init(rng, (d,), d)
+    params.null_agent.value[...] = nm.uniform_init(rng, (d,), d)
+    for block in (*params.road_interact, *params.agent_interact):
+        block.initialize(rng)
+    for w in params.fusion.weights:
+        w.value[...] = nm.uniform_init(rng, w.value.shape, w.value.shape[0])
+    for k in range(config.k_modes):  # branch by branch, each into its slot of the mode axis
+        for w in params.decoder.weights:
+            w.value[k] = nm.uniform_init(rng, w.value.shape[1:], w.value.shape[1])
+    for w in params.cls_branch.weights:
+        w.value[...] = nm.uniform_init(rng, w.value.shape, w.value.shape[0])
+    return params
 
 
 def parameter_count(params: ModelParams) -> int:
-    return sum(p.value.size for p in params.parameters())
+    return params.values.size
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +443,7 @@ def load_params(path, expected_config: GolferConfig | None = None, force: bool =
             f"{path}: embedded config does not match the expected config (use force to override)"
         )
 
-    params = init_model_params(config)
+    params = _declare_params(config)
     expected = list(params.named_parameters())
     (count,) = struct.unpack("<I", take(4))
     if count != len(expected):

@@ -8,6 +8,15 @@ evaluation order, accumulating vector-Jacobian products into each node's
 `Tape(record=False)` records nothing, for passes never differentiated; work
 only backward reads, such as masks and argmax rows, is done in the closure.
 
+Accumulation starts on first touch: a node's gradient is None until an op
+first hands it one, and that first array becomes the buffer, where the
+output's array or a view of it is copied so that no two nodes share one.
+The tape skips the closure of an op whose output never received a gradient
+(a dead branch), leaving its operands untouched. Only ops that write into
+part of a buffer (`slice_last`, `pick`, `take_rows`, `segment_max`) start
+from zeros. Every non-leaf gradient is C-contiguous, as zero-filled buffers
+were, so the sums and matmuls that read it give the same bits.
+
 Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 1-D, masks are 1-D bool arrays with True marking a valid entry. Scalars are
 0-d arrays. Normalization and softmax act along the last axis. Batched ops
@@ -21,6 +30,7 @@ Sets of rows, such as the tokens of a scene's elements, are packed into one
 from __future__ import annotations
 
 import math
+import mmap
 import weakref
 from typing import Callable, Sequence
 
@@ -75,11 +85,56 @@ class Parameter:
         self.grad[...] = 0.0
 
 
+def mapped_zeros(size: int) -> np.ndarray:
+    """A float64 zero vector in pages mapped straight from the OS, for large
+    buffers made and dropped again and again (parameter arenas, optimizer
+    moments). Its pages cost no memory until written and go back to the OS
+    when it is dropped. Through malloc, freeing one such buffer raised the
+    allocator's mmap threshold, so later ones landed on the heap, where freed
+    buffers stayed resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+
+
+class Arena:
+    """Contiguous storage for a set of parameters.
+
+    Shapes are declared first; `allocate` then creates one flat value buffer
+    and one flat grad buffer, both zero, and binds each declared parameter's
+    `value` and `grad` to its own stretch of them, in declaration order.
+    Initial values are written into those views, never copied in. Until then
+    a declared parameter's arrays are read-only stand-ins without storage.
+    """
+
+    __slots__ = ("_declared",)
+
+    def __init__(self):
+        self._declared: list[Parameter] = []
+
+    def param(self, shape: tuple[int, ...]) -> Parameter:
+        stand_in = np.broadcast_to(np.float64(0.0), shape)
+        p = Parameter(stand_in, stand_in)
+        self._declared.append(p)
+        return p
+
+    def allocate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (values, grads) buffers, once every parameter is declared."""
+        total = sum(p.value.size for p in self._declared)
+        values, grads = mapped_zeros(total), mapped_zeros(total)
+        offset = 0
+        for p in self._declared:
+            end = offset + p.value.size
+            p.value = values[offset:end].reshape(p.value.shape)
+            p.grad = grads[offset:end].reshape(p.grad.shape)
+            offset = end
+        return values, grads
+
+
 class Node:
     """One value in a recorded computation; `grad` fills in during backward.
 
-    The gradient buffer is allocated as zeros on first access, so a
-    forward-only evaluation allocates none.
+    No gradient buffer exists until backward first reaches the node, so a
+    forward-only evaluation allocates none; reading `grad` of a node that
+    got none gives zeros.
     """
 
     __slots__ = ("value", "_grad", "tape")
@@ -95,43 +150,42 @@ class Node:
             self._grad = np.zeros(self.value.shape, self.value.dtype)
         return self._grad
 
-    @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        self._grad = value
-
 
 class _TapeRef(weakref.ref):
     """A node's weak reference to its tape, through which its ops record."""
 
     __slots__ = ()
 
-    def record(self, step: Callable[[], None]) -> None:
+    def record(self, out: Node, step: Callable[[np.ndarray], None]) -> None:
         tape = self()
         if tape is None:
             raise ReferenceError("the tape of this node was dropped; keep the Tape referenced "
                                  "while ops still record on its nodes")
         if tape.recording:
-            tape.record(step)
+            tape.record(out, step)
 
 
 class Tape:
-    """Records backward closures in evaluation order; replays them reversed.
+    """Records each op's output with its backward closure in evaluation
+    order; replays them reversed, handing each closure its output's gradient.
 
-    The closures hold their nodes, so nodes hold only a weak reference to
-    their tape: a graph is no reference cycle, and dropping the tape frees it
-    by reference count. A value-only tape (`record=False`) drops the closures,
-    so each intermediate is freed once no later op reads it.
+    The tape and the closures hold the nodes, so nodes hold only a weak
+    reference to their tape: a graph is no reference cycle, and dropping the
+    tape frees it by reference count. A value-only tape (`record=False`)
+    drops what ops hand it, so each intermediate is freed once no later op
+    reads it.
     """
 
     __slots__ = ("_steps", "_ref", "recording", "__weakref__")
 
     def __init__(self, record: bool = True):
-        self._steps: list[Callable[[], None]] = []
+        self._steps: list[tuple[Node, Callable[[np.ndarray], None]]] = []
         self._ref = _TapeRef(self)
         self.recording = record
 
-    def record(self, step: Callable[[], None]) -> None:
-        self._steps.append(step)
+    def record(self, out: Node, step: Callable[[np.ndarray], None]) -> None:
+        """Keep an op's output and the closure that takes its gradient."""
+        self._steps.append((out, step))
 
     def constant(self, value) -> Node:
         """Wrap a value that should receive no gradient."""
@@ -147,9 +201,28 @@ class Tape:
             raise NotRecordingError("backward on a value-only tape, which recorded nothing")
         if out.value.shape != ():
             raise DimensionError(f"backward root must be a scalar, got shape {out.value.shape}")
-        out.grad += 1.0
-        for step in reversed(self._steps):
-            step()
+        out.grad[...] += 1.0
+        for node, step in reversed(self._steps):
+            if node._grad is not None:  # else a dead branch: nothing flows back
+                step(node._grad)
+
+
+def _accumulate(node: Node, fresh: np.ndarray) -> None:
+    """Add `fresh`, an array no other node holds, to node's gradient; the
+    first one becomes the buffer (a C-contiguous copy if it is not)."""
+    if node._grad is None:
+        node._grad = fresh if fresh.flags.c_contiguous else np.ascontiguousarray(fresh)
+    else:
+        node._grad += fresh
+
+
+def _accumulate_copy(node: Node, shared: np.ndarray) -> None:
+    """Add `shared`, another node's gradient or a view of it; the first one
+    is copied, so the two nodes never share a buffer."""
+    if node._grad is None:
+        node._grad = shared.copy()
+    else:
+        node._grad += shared
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +235,11 @@ def add(a: Node, b: Node) -> Node:
         raise DimensionError(f"add: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value + b.value, a.tape)
 
-    def backward():
-        a.grad += out.grad
-        b.grad += out.grad
+    def backward(g):
+        _accumulate_copy(a, g)
+        _accumulate_copy(b, g)
 
-    a.tape.record(backward)
+    a.tape.record(out, backward)
     return out
 
 
@@ -175,41 +248,41 @@ def mul(a: Node, b: Node) -> Node:
         raise DimensionError(f"mul: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value * b.value, a.tape)
 
-    def backward():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+    def backward(g):
+        _accumulate(a, g * b.value)
+        _accumulate(b, g * a.value)
 
-    a.tape.record(backward)
+    a.tape.record(out, backward)
     return out
 
 
 def scale(x: Node, s: float) -> Node:
     out = Node(x.value * s, x.tape)
 
-    def backward():
-        x.grad += out.grad * s
+    def backward(g):
+        _accumulate(x, g * s)
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
 def exp(x: Node) -> Node:
     out = Node(np.exp(x.value), x.tape)
 
-    def backward():
-        x.grad += out.grad * out.value
+    def backward(g):
+        _accumulate(x, g * out.value)
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
 def clamp(x: Node, lo: float, hi: float) -> Node:
     out = Node(np.clip(x.value, lo, hi), x.tape)
 
-    def backward():
-        x.grad += out.grad * ((x.value >= lo) & (x.value <= hi))
+    def backward(g):
+        _accumulate(x, g * ((x.value >= lo) & (x.value <= hi)))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -219,22 +292,22 @@ def maximum(a: Node, b: Node) -> Node:
         raise DimensionError(f"maximum: {a.value.shape} vs {b.value.shape}")
     out = Node(np.maximum(a.value, b.value), a.tape)
 
-    def backward():
+    def backward(g):
         a_wins = a.value >= b.value
-        a.grad += out.grad * a_wins
-        b.grad += out.grad * ~a_wins
+        _accumulate(a, g * a_wins)
+        _accumulate(b, g * ~a_wins)
 
-    a.tape.record(backward)
+    a.tape.record(out, backward)
     return out
 
 
 def relu(x: Node) -> Node:
     out = Node(np.maximum(x.value, 0.0), x.tape)
 
-    def backward():
-        x.grad += out.grad * (x.value > 0.0)
+    def backward(g):
+        _accumulate(x, g * (x.value > 0.0))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -243,11 +316,11 @@ def gelu(x: Node) -> Node:
     cdf = 0.5 * (1.0 + erf(x.value / _SQRT2))
     out = Node(x.value * cdf, x.tape)
 
-    def backward():
+    def backward(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.value * x.value)
-        x.grad += out.grad * (cdf + x.value * pdf)
+        _accumulate(x, g * (cdf + x.value * pdf))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -276,15 +349,15 @@ def matmul(a: Node, b: Node) -> Node:
         raise DimensionError(f"matmul: {av.shape} x {bv.shape}")
     out = Node(av @ bv, a.tape)
 
-    def backward():
+    def backward(g):
         if av.ndim == 1:
-            a.grad += bv @ out.grad
-            b.grad += np.outer(av, out.grad)
+            _accumulate(a, bv @ g)
+            _accumulate(b, np.outer(av, g))
         else:
-            a.grad += out.grad @ np.swapaxes(bv, -1, -2)
-            b.grad += np.swapaxes(av, -1, -2) @ out.grad
+            _accumulate(a, g @ np.swapaxes(bv, -1, -2))
+            _accumulate(b, np.swapaxes(av, -1, -2) @ g)
 
-    a.tape.record(backward)
+    a.tape.record(out, backward)
     return out
 
 
@@ -292,20 +365,21 @@ def transpose(x: Node, axes: tuple[int, ...]) -> Node:
     """Permute axes: out.shape[i] == x.shape[axes[i]], as in np.transpose."""
     out = Node(np.transpose(x.value, axes), x.tape)
 
-    def backward():
-        x.grad += np.transpose(out.grad, sorted(range(len(axes)), key=axes.__getitem__))
+    def backward(g):
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
+        _accumulate_copy(x, np.transpose(g, inverse))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
 def reshape(x: Node, shape: tuple[int, ...]) -> Node:
     out = Node(x.value.reshape(shape), x.tape)
 
-    def backward():
-        x.grad += out.grad.reshape(x.value.shape)
+    def backward(g):
+        _accumulate_copy(x, g.reshape(x.value.shape))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -314,11 +388,11 @@ def concat_last(a: Node, b: Node) -> Node:
     out = Node(np.concatenate([a.value, b.value], axis=-1), a.tape)
     split = a.value.shape[-1]
 
-    def backward():
-        a.grad += out.grad[..., :split]
-        b.grad += out.grad[..., split:]
+    def backward(g):
+        _accumulate_copy(a, g[..., :split])
+        _accumulate_copy(b, g[..., split:])
 
-    a.tape.record(backward)
+    a.tape.record(out, backward)
     return out
 
 
@@ -326,10 +400,10 @@ def slice_last(x: Node, lo: int, hi: int) -> Node:
     """x[..., lo:hi]."""
     out = Node(np.ascontiguousarray(x.value[..., lo:hi]), x.tape)
 
-    def backward():
-        x.grad[..., lo:hi] += out.grad
+    def backward(g):
+        x.grad[..., lo:hi] += g
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -339,10 +413,10 @@ def take_rows(x: Node, index) -> Node:
     idx = np.asarray(index, dtype=np.intp)
     out = Node(x.value[idx], x.tape)
 
-    def backward():
-        np.add.at(x.grad, idx, out.grad)
+    def backward(g):
+        np.add.at(x.grad, idx, g)
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -353,10 +427,10 @@ def weighted_sum(x: Node, weights) -> Node:
         raise DimensionError(f"weighted_sum: {x.value.shape} vs weights {w.shape}")
     out = Node(np.asarray((x.value * w).sum()), x.tape)
 
-    def backward():
-        x.grad += out.grad * w
+    def backward(g):
+        _accumulate(x, g * w)
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -364,10 +438,10 @@ def pick(v: Node, index: int) -> Node:
     """v[index] along the first axis: a scalar from a vector, a slice otherwise."""
     out = Node(np.asarray(v.value[index]), v.tape)
 
-    def backward():
-        v.grad[index] += out.grad
+    def backward(g):
+        v.grad[index] += g
 
-    v.tape.record(backward)
+    v.tape.record(out, backward)
     return out
 
 
@@ -378,10 +452,10 @@ def logsumexp(v: Node) -> Node:
     s = e.sum()
     out = Node(np.asarray(m + math.log(s)), v.tape)
 
-    def backward():
-        v.grad += out.grad * (e / s)
+    def backward(g):
+        _accumulate(v, g * (e / s))
 
-    v.tape.record(backward)
+    v.tape.record(out, backward)
     return out
 
 
@@ -411,19 +485,18 @@ def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
     xhat = xc * inv_std
     out = Node(xhat * gamma.value + beta.value, x.tape)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         lead = tuple(range(g.ndim - 1))
-        gamma.grad += (g * xhat).sum(axis=lead)
-        beta.grad += g.sum(axis=lead)
+        _accumulate(gamma, (g * xhat).sum(axis=lead))
+        _accumulate(beta, g.sum(axis=lead))
         dxhat = g * gamma.value
-        x.grad += inv_std * (
+        _accumulate(x, inv_std * (
             dxhat
             - dxhat.sum(axis=-1, keepdims=True) / d
             - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        )
+        ))
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 
@@ -447,11 +520,10 @@ def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
     p[..., ~qm, :] = 0.0
     out = Node(p, scores.tape)
 
-    def backward():
-        g = out.grad
-        scores.grad += p * (g - (g * p).sum(axis=-1, keepdims=True))
+    def backward(g):
+        _accumulate(scores, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
-    scores.tape.record(backward)
+    scores.tape.record(out, backward)
     return out
 
 
@@ -483,11 +555,11 @@ def segment_max(x: Node, segments, count: int) -> Node:
     value = np.maximum.reduceat(x.value, starts, axis=0)
     out = Node(value, x.tape)
 
-    def backward():
+    def backward(g):
         rows = np.where(x.value == value[seg], np.arange(seg.size)[:, None], seg.size)
-        x.grad[np.minimum.reduceat(rows, starts, axis=0), np.arange(value.shape[1])] += out.grad
+        x.grad[np.minimum.reduceat(rows, starts, axis=0), np.arange(value.shape[1])] += g
 
-    x.tape.record(backward)
+    x.tape.record(out, backward)
     return out
 
 

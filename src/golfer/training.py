@@ -11,13 +11,13 @@ carries no information about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
 from .model import GolferConfig, ModelParams, PredictionNodes, forward_nodes, init_model_params
-from .numerics import EmptySetError, Node, Parameter, Tape
+from .numerics import EmptySetError, Node, Tape
 from .scene import Scene, apply_goal_masking
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -135,50 +135,74 @@ def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> Loss
 # ---------------------------------------------------------------------------
 
 
+# Elements per chunk of the Adam update: its six chunk-sized arrays (value,
+# grad, two moments, two temporaries) stay in a core's L2 cache.
+ADAM_CHUNK = 16384
+
+
 @dataclass
 class AdamState:
+    """Adam's rates and moments; `m` and `v` are flat, laid out like the
+    parameter arena they update, and `scratch` holds two chunk temporaries."""
+
     lr: float
     beta1: float
     beta2: float
     epsilon: float
     step_count: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), repr=False)
 
     @classmethod
-    def create(cls, named_params, train_config: TrainConfig) -> "AdamState":
-        """Zero moments per named parameter; rates and betas from `train_config`."""
-        state = cls(lr=train_config.lr, beta1=train_config.beta1, beta2=train_config.beta2,
-                    epsilon=train_config.epsilon, step_count=0, m={}, v={})
-        for name, p in named_params:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
-        return state
+    def create(cls, size: int, train_config: TrainConfig) -> "AdamState":
+        """Zero moments for `size` parameters; rates and betas from `train_config`."""
+        return cls(lr=train_config.lr, beta1=train_config.beta1, beta2=train_config.beta2,
+                   epsilon=train_config.epsilon, step_count=0,
+                   m=nm.mapped_zeros(size), v=nm.mapped_zeros(size))
 
 
-def optimizer_step(named_params: list[tuple[str, Parameter]], state: AdamState) -> None:
-    """Bias-corrected adaptive-moment update; grads are reset afterwards.
+def optimizer_step(params: ModelParams, state: AdamState) -> None:
+    """Bias-corrected adaptive-moment update of the whole arena, chunk by chunk
+    in place; grads are reset afterwards.
 
-    Every gradient is checked before any state changes, so a non-finite one
-    leaves values, grads, moments and the step count as they were.
+    One dot product checks every gradient: if the sum of squares is finite,
+    so is every element. Otherwise each named parameter is checked, and a
+    non-finite one raises before any state changes, leaving values, grads,
+    moments and the step count as they were; finite grads whose squares
+    overflow step normally. Each element sees the per-tensor operations in
+    the same order, so the bits do not depend on the chunking.
     """
-    for name, p in named_params:
-        if not np.isfinite(p.grad).all():
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
+    grads = params.grads
+    with np.errstate(over="ignore"):
+        squares = np.dot(grads, grads)
+    if not math.isfinite(squares):
+        for name, p in params.named_parameters():
+            if not np.isfinite(p.grad).all():
+                raise TrainingError(f"non-finite gradient in parameter {name!r}")
     state.step_count += 1
     t = state.step_count
-    for name, p in named_params:
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        p.zero_grad()
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for lo in range(0, grads.size, ADAM_CHUNK):
+        hi = lo + ADAM_CHUNK
+        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = state.scratch[:, :g.size]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        params.values[lo:hi] -= a
+        g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +260,7 @@ def train(
             raise EmptySetError(f"scene {index} has no valid future step to train on")
     if params is None:
         params = init_model_params(model_config)
-    named = list(params.named_parameters())
-    state = AdamState.create(named, train_config)
+    state = AdamState.create(params.values.size, train_config)
     order_seed, mask_seed = np.random.SeedSequence(train_config.seed).spawn(2)
     order_rng = np.random.Generator(np.random.PCG64(order_seed))
     mask_rng = np.random.Generator(np.random.PCG64(mask_seed))
@@ -259,7 +282,7 @@ def train(
                 raise TrainingError(f"non-finite loss at sample {int(idx)} (epoch {epoch}, step {step})")
             tape.backward(total)
             state.lr = 0.5 * train_config.lr * (1.0 + math.cos(math.pi * step / total_steps))
-            optimizer_step(named, state)
+            optimizer_step(params, state)
             trace.append(
                 TraceRecord(
                     epoch=epoch,

@@ -258,6 +258,17 @@ def ref_min_fde(means, gt, valid):
     return min(math.dist(means[k, last], gt[last]) for k in range(means.shape[0]))
 
 
+def ref_adam_step(values, grads, m, v, t, lr, beta1, beta2, eps):
+    """Adam step t (from 1) of arXiv 1412.6980, one tensor at a time, on dicts
+    of name -> array; replaces the entries of values, m and v."""
+    for name, g in grads.items():
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        m_hat = m[name] / (1.0 - beta1 ** t)
+        v_hat = v[name] / (1.0 - beta2 ** t)
+        values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def check_lloyd_fixed_point(points_flat, weights, centroids_flat, atol=1e-9):
     """Both Lloyd conditions: nearest-centroid assignment and weighted-mean
     centroids. Returns the max violation over both conditions."""

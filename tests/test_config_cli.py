@@ -151,6 +151,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="train.mask_ratio"):
             parse_config_text("train.mask_ratio=1.5")
 
+    def test_negative_model_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match=r"model\.seed: value -1 out of range"):
+            parse_config_text("model.seed=-1")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key data.fog"):
             parse_config_text("data.fog=1")
@@ -401,6 +405,26 @@ class TestCliErrors:
                      "--model", str(model)]) == 1
         err = capsys.readouterr().err
         assert str(model) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 16.0), ("seed", -1), ("heads", True), ("k_modes", "3"), ("decoder_hidden", [16.5]),
+        ("position_scale", "10"), ("log_sigma_scale", float("nan")), ("interact_proj", 1),
+    ])
+    def test_mistyped_embedded_model_config_value_is_named(self, tmp_path, tiny_config, capsys,
+                                                           key, value):
+        data = str(tmp_path / "scenes.jsonl")
+        assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        blob = json.dumps({**asdict(GolferConfig()), key: value}).encode()
+        model = tmp_path / "mistyped.mnmg"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(blob)) + blob)
+        with pytest.raises(ModelFormatError,
+                           match=re.escape(f"{model}: bad embedded config: {key}")):
+            load_params(model)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", tiny_config, "--data", data,
+                     "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert f"{model}: bad embedded config: {key}" in err and "Traceback" not in err
 
     def test_gradcheck_failure_exits_nonzero(self, monkeypatch, capsys):
         import golfer.cli as cli_mod

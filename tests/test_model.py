@@ -485,6 +485,49 @@ class TestStackedLayout:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+class TestArena:
+    """Every weight family views the model's one flat value buffer and one
+    flat grad buffer."""
+
+    def _offset(self, base, view) -> int:
+        return (view.__array_interface__["data"][0]
+                - base.__array_interface__["data"][0]) // base.itemsize
+
+    def test_every_named_value_and_grad_views_the_arena_once(self):
+        params = init_model_params(INTERACT_PROJ)
+        uses = np.zeros(params.values.size, dtype=int)
+        for name, p in params.named_parameters():
+            assert np.shares_memory(p.value, params.values), name
+            assert np.shares_memory(p.grad, params.grads), name
+            start = self._offset(params.values, p.value)
+            assert self._offset(params.grads, p.grad) == start, name
+            uses[start:start + p.value.size] += 1
+        assert (uses == 1).all()
+        assert params.values.flags.c_contiguous and params.grads.flags.c_contiguous
+
+    def test_load_params_writes_into_the_arena(self, tmp_path):
+        params = init_model_params(TINY)
+        path = tmp_path / "m.mnmg"
+        save_params(params, path)
+        loaded = load_params(path)
+        assert loaded.values.tobytes() == params.values.tobytes()
+        for name, p in loaded.named_parameters():
+            assert np.shares_memory(p.value, loaded.values), name
+
+    def test_zero_grads_clears_the_whole_arena(self):
+        params = init_model_params(TINY)
+        scene = _scene(24)
+        gc = apply_goal_masking(scene.future, _rng(25), 0.85, scene.future_mask)
+        tape = Tape()
+        total, _ = total_loss_nodes(tape, forward_nodes(tape, scene, gc, params), scene.future,
+                                    scene.future_mask, gc.exclusion_index, 1.0)
+        tape.backward(total)
+        assert params.grads.any()
+        params.zero_grads()
+        assert not params.grads.any()
+        assert all(not p.grad.any() for p in params.parameters())
+
+
 class TestModelFiles:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         params = init_model_params(TINY)

@@ -362,3 +362,58 @@ class TestParameter:
         head.zero_grad()
         assert (family.grad[1] == 0.0).all()
         assert (family.grad[[0, 2]] == weights[[0, 2]]).all()
+
+
+class TestFirstTouchAccumulation:
+    """A node's first gradient becomes its buffer; a shared one is copied."""
+
+    @pytest.mark.parametrize("graph", ["add_self", "mul_self", "shared_operand"])
+    def test_self_and_shared_operands_match_finite_differences(self, graph):
+        x = Parameter(_rng(20).normal(size=(3, 4)))
+        w = _rng(21).normal(size=(3, 4))
+
+        def fn(tape):
+            node = tape.watch(x)
+            if graph == "add_self":
+                out = nm.add(node, node)
+            elif graph == "mul_self":
+                out = nm.mul(node, node)
+            else:  # h feeds both add operands and a later mul
+                h = nm.exp(nm.scale(node, 0.5))
+                out = nm.mul(nm.add(h, h), h)
+            return nm.weighted_sum(out, w)
+
+        assert gradient_check(fn, [x]) < 1e-7
+
+    def test_no_two_live_non_leaf_nodes_share_a_grad_buffer(self):
+        rng = _rng(22)
+        x, v = Parameter(rng.normal(size=(4, 6))), Parameter(rng.normal(size=(6, 6)))
+        tape = Tape()
+        nodes = [nm.matmul(tape.watch(x), tape.watch(v))]
+        nodes.append(nm.add(nodes[-1], nodes[-1]))
+        nodes.append(nm.reshape(nodes[-1], (4, 2, 3)))
+        nodes.append(nm.transpose(nodes[-1], (1, 0, 2)))
+        nodes.append(nm.reshape(nodes[-1], (2, 12)))
+        nodes.append(nm.concat_last(nodes[-1], nodes[-1]))
+        nodes.append(nm.slice_last(nodes[-1], 3, 20))
+        nodes.append(nm.add(nodes[-1], nm.scale(nodes[-1], 2.0)))
+        nodes.append(nm.take_rows(nodes[-1], [1, 0, 1]))
+        nodes.append(nm.gelu(nodes[-1]))
+        tape.backward(nm.weighted_sum(nodes[-1], rng.normal(size=(3, 17))))
+        grads = [node._grad for node in nodes]
+        assert all(g is not None and g.flags.c_contiguous for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_a_dead_branch_gets_no_grad_buffer(self):
+        x = Parameter(_rng(23).normal(size=5))
+        tape = Tape()
+        node = tape.watch(x)
+        live = nm.exp(node)
+        dead = nm.scale(node, 3.0)
+        dead_end = nm.mul(dead, live)  # consumed by nothing
+        tape.backward(nm.weighted_sum(live, np.ones(5)))
+        assert dead._grad is None and dead_end._grad is None
+        np.testing.assert_array_equal(x.grad, np.exp(x.value))
+        assert (dead.grad == 0.0).all()  # reading it gives zeros

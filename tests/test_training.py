@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import golfer.numerics as nm
+from golfer import training
 from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
-from golfer.numerics import EmptySetError, Parameter, Tape
+from golfer.numerics import EmptySetError, Tape
 from golfer.scene import (
     GeneratorConfig,
     apply_goal_masking,
@@ -25,7 +27,7 @@ from golfer.training import (
     train,
 )
 
-from oracles import ref_cross_entropy, ref_gaussian_nll, ref_winner
+from oracles import ref_adam_step, ref_cross_entropy, ref_gaussian_nll, ref_winner
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_6 = math.log(6.0)
@@ -188,62 +190,135 @@ class TestTotalLoss:
             assert again.winner_index == base.winner_index
 
 
+TINY_MODEL = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3,
+                          horizon=16, d_ff=32, decoder_hidden=(16,), seed=1)
+
+# Gradient values the arena step must treat exactly as a per-tensor step does:
+# signed zeros, subnormals, the smallest normal, and large finite values.
+_SPECIAL_GRADS = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308,
+                  1e150, -1e150, 1e153, 1.0, -3.0]
+
+_DEFAULT_PARAMS = []
+
+
+def _default_params():
+    """A default-config model (more than one Adam chunk) and its initial values."""
+    if not _DEFAULT_PARAMS:
+        params = init_model_params(GolferConfig())
+        _DEFAULT_PARAMS.append((params, params.values.copy()))
+    return _DEFAULT_PARAMS[0]
+
+
+def _arena_offset(params, p) -> int:
+    """Where a named tensor starts in the flat arena, in elements."""
+    return (p.value.__array_interface__["data"][0]
+            - params.values.__array_interface__["data"][0]) // params.values.itemsize
+
+
+def _per_tensor(named):
+    """Copies of the values and zero moments, per name, for `ref_adam_step`."""
+    return ({name: p.value.copy() for name, p in named},
+            {name: np.zeros_like(p.value) for name, p in named},
+            {name: np.zeros_like(p.value) for name, p in named})
+
+
 class TestOptimizer:
     def test_zero_grads_leave_params_unchanged(self):
-        p = Parameter(_rng(9).normal(size=(3, 3)))
-        before = p.value.copy()
-        named = [("w", p)]
-        state = AdamState.create(named, TrainConfig())
-        optimizer_step(named, state)
-        assert (p.value == before).all()
+        params = init_model_params(TINY_MODEL)
+        before = params.values.copy()
+        state = AdamState.create(params.values.size, TrainConfig())
+        optimizer_step(params, state)
+        assert (params.values == before).all()
         assert state.step_count == 1
 
     def test_quadratic_convergence(self):
-        w = Parameter(np.array([3.0]))
-        named = [("w", w)]
-        state = AdamState.create(named, TrainConfig(lr=0.05))
+        # Every parameter descends its own w**2 from its initial value.
+        params = init_model_params(TINY_MODEL)
+        state = AdamState.create(params.values.size, TrainConfig(lr=0.05))
         for _ in range(500):
-            tape = Tape()
-            node = tape.watch(w)
-            loss = nm.weighted_sum(nm.mul(node, node), np.ones(1))
-            tape.backward(loss)
-            optimizer_step(named, state)
-        assert abs(w.value[0]) < 1e-3
+            params.grads[...] = 2.0 * params.values
+            optimizer_step(params, state)
+        assert np.abs(params.values).max() < 1e-3
 
     def test_two_runs_are_bit_identical(self):
         def run():
             rng = _rng(10)
-            p = Parameter(rng.normal(size=(4, 4)))
-            named = [("w", p)]
-            state = AdamState.create(named, TrainConfig(lr=0.01))
+            params = init_model_params(TINY_MODEL)
+            state = AdamState.create(params.values.size, TrainConfig(lr=0.01))
             for _ in range(50):
-                p.grad += rng.normal(size=(4, 4))
-                optimizer_step(named, state)
-            return p.value.tobytes()
+                params.grads[...] += rng.normal(size=params.grads.size)
+                optimizer_step(params, state)
+            return params.values.tobytes()
 
         assert run() == run()
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.sampled_from(_SPECIAL_GRADS), min_size=1, max_size=24),
+           steps=st.integers(1, 4))
+    def test_arena_step_matches_per_tensor_adam_bitwise(self, seed, specials, steps):
+        params, initial = _default_params()
+        params.values[...] = initial
+        chunk = training.ADAM_CHUNK
+        named = list(params.named_parameters())
+        assert params.values.size > chunk
+        assert any(_arena_offset(params, p) // chunk
+                   != (_arena_offset(params, p) + p.value.size - 1) // chunk for _, p in named)
+        rng = _rng(seed)
+        config = TrainConfig(lr=3e-3)
+        state = AdamState.create(params.values.size, config)
+        values, m, v = _per_tensor(named)
+        for t in range(1, steps + 1):
+            grads = rng.normal(size=params.grads.size) * 10.0 ** int(rng.integers(-8, 3))
+            # Specials at random places and on both sides of every chunk boundary.
+            places = np.concatenate([rng.integers(0, grads.size, len(specials)),
+                                     np.arange(chunk - 1, grads.size, chunk),
+                                     np.arange(chunk, grads.size, chunk)])
+            grads[places] = np.resize(specials, places.size)
+            params.grads[...] = grads
+            ref_adam_step(values, {name: p.grad.copy() for name, p in named}, m, v, t,
+                          config.lr, config.beta1, config.beta2, config.epsilon)
+            optimizer_step(params, state)
+            assert not params.grads.any()
+        assert state.step_count == steps
+        for name, p in named:
+            assert p.value.tobytes() == values[name].tobytes(), name
+
+    def test_finite_grads_whose_squares_overflow_step_normally(self):
+        params = init_model_params(TINY_MODEL)
+        named = list(params.named_parameters())
+        config = TrainConfig()
+        state = AdamState.create(params.values.size, config)
+        dict(named)["fusion.1.w"].grad[0, 0] = 1e200
+        dict(named)["cls.0.b"].grad[1] = -1e200
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(params.grads, params.grads))
+        values, m, v = _per_tensor(named)
+        grads = {name: p.grad.copy() for name, p in named}
+        with np.errstate(over="ignore"):  # their second moments overflow to inf
+            ref_adam_step(values, grads, m, v, 1, config.lr, config.beta1, config.beta2,
+                          config.epsilon)
+            optimizer_step(params, state)
+        assert state.step_count == 1
+        for name, p in named:
+            assert p.value.tobytes() == values[name].tobytes(), name
+
     def test_non_finite_grad_names_the_parameter(self):
         for non_finite in (np.inf, -np.inf, np.nan):
-            good, bad = Parameter(np.ones(2)), Parameter(np.ones(2))
-            good.grad[...] = 0.5
-            bad.grad[0] = non_finite
-            named = [("fusion.0.b", good), ("fusion.1.w", bad)]
-            state = AdamState.create(named, TrainConfig())
-            before = [(p.value.copy(), p.grad.copy()) for _, p in named]
+            params = init_model_params(TINY_MODEL)
+            state = AdamState.create(params.values.size, TrainConfig())
+            params.grads[...] = 0.5
+            optimizer_step(params, state)  # the moments are nonzero from here on
+            params.grads[...] = 0.25
+            dict(params.named_parameters())["fusion.1.w"].grad[0, 1] = non_finite
+            arrays = (params.values, params.grads, state.m, state.v)
+            before = [a.copy() for a in arrays]
             with pytest.raises(TrainingError, match=r"'fusion\.1\.w'"):
-                optimizer_step(named, state)
+                optimizer_step(params, state)
             # Nothing was half-applied: the step is checked whole before it is taken.
-            for (_, p), (value, grad) in zip(named, before):
-                assert (p.value == value).all()
-                np.testing.assert_array_equal(p.grad, grad)
-            for moments in (state.m, state.v):
-                assert all((m == 0.0).all() for m in moments.values())
-            assert state.step_count == 0
-
-
-TINY_MODEL = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3,
-                          horizon=16, d_ff=32, decoder_hidden=(16,), seed=1)
+            for now, then in zip(arrays, before):
+                np.testing.assert_array_equal(now, then)
+            assert state.step_count == 1
 
 
 class TestTrainLoop:
