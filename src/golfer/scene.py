@@ -224,14 +224,18 @@ class _Arc:
     heading: float
     curvature: float
 
-    def point(self, s: float) -> np.ndarray:
-        if abs(self.curvature) < 1e-12:
-            lx, ly = s, 0.0
+    def points(self, svals) -> np.ndarray:
+        """The (n,2) positions at arc lengths `svals`, computed on Python floats
+        with `math` sin/cos: numpy's SIMD loops may differ from them in the last
+        ulp on some CPUs, which would move dataset bits."""
+        k = self.curvature
+        if abs(k) < 1e-12:
+            local = [(s, 0.0) for s in svals]
         else:
-            lx = math.sin(self.curvature * s) / self.curvature
-            ly = (1.0 - math.cos(self.curvature * s)) / self.curvature
+            local = [(math.sin(k * s) / k, (1.0 - math.cos(k * s)) / k) for s in svals]
         ch, sh = math.cos(self.heading), math.sin(self.heading)
-        return self.start + np.array([ch * lx - sh * ly, sh * lx + ch * ly])
+        x0, y0 = self.start.tolist()
+        return np.array([(x0 + (ch * lx - sh * ly), y0 + (sh * lx + ch * ly)) for lx, ly in local])
 
 
 def _bounded_noise(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
@@ -292,7 +296,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
 
     def track(traveler, steps):
         road, speed, s_now = traveler
-        return np.stack([arcs[road].point(s_now + speed * dt * k) for k in steps])
+        return arcs[road].points([s_now + speed * dt * k for k in steps])
 
     ego_past = track(travelers[0], range(-(hist - 1), 1))
     ego_future = track(travelers[0], range(1, horizon + 1))
@@ -320,7 +324,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
     for idx, arc in enumerate(arcs):
         lo, hi = spans.get(idx, (0.0, 60.0))
         svals = np.linspace(lo - 5.0, hi + 5.0, cfg.points_per_polyline)
-        road_points.append(np.stack([arc.point(s) for s in svals]))
+        road_points.append(arc.points(svals.tolist()))
 
     # Ego frame: current position at origin, heading along +x.
     origin = ego_past[-1]
@@ -400,7 +404,7 @@ def to_json_text(value, sig_digits: int = 17) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(to_json_text(v, sig_digits) for v in value) + "]"
     if isinstance(value, np.ndarray):
-        return to_json_text(value.tolist(), sig_digits)
+        return _array_json_text(value, spec)
     if isinstance(value, dict):
         return "{" + ",".join(
             f"{json.dumps(k)}:{to_json_text(v, sig_digits)}" for k, v in value.items()
@@ -408,8 +412,18 @@ def to_json_text(value, sig_digits: int = 17) -> str:
     raise TypeError(f"cannot serialize {type(value)}")
 
 
-def _fmt(value) -> str:
-    return to_json_text(value, 17)
+def _array_json_text(array: np.ndarray, spec: str) -> str:
+    """One `str.format` over the flat values, through a template nested by shape."""
+    values = array.ravel().tolist()
+    kind = array.dtype.kind
+    if kind == "b":
+        values = [("false", "true")[v] for v in values]
+    elif kind not in "iuf":
+        raise TypeError(f"cannot serialize a {array.dtype} array")
+    template = "{:" + spec + "}" if kind == "f" else "{}"
+    for n in reversed(array.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template.format(*values)
 
 
 def _element_record(element: SceneElement) -> dict:
@@ -421,15 +435,36 @@ def _element_record(element: SceneElement) -> dict:
     }
 
 
-def _element_from_record(rec: dict) -> SceneElement:
-    return SceneElement(
-        kind=rec["kind"], tokens=rec["tokens"], mask=rec["mask"], context=rec["context"]
-    )
+_BOOLS, _NUMBERS = "b", "iuf"  # numpy dtype kinds a record's arrays may parse to
+
+
+def _typed(value, kinds: str, field: str) -> np.ndarray:
+    """`value` as an array of one of `kinds`: an array that parses to another
+    dtype (numbers in a mask, strings or booleans for numbers) is an error,
+    not a coercion."""
+    array = np.asarray(value)
+    if array.dtype.kind not in kinds:
+        expected = "true/false values" if kinds == _BOOLS else "numbers"
+        raise ValueError(f"{field}: expected {expected}, got {array.dtype} values")
+    return array
+
+
+def _element_from_record(rec: dict, group: str, index: int | None = None) -> SceneElement:
+    try:
+        return SceneElement(
+            kind=rec["kind"],
+            tokens=_typed(rec["tokens"], _NUMBERS, "tokens"),
+            mask=_typed(rec["mask"], _BOOLS, "mask"),
+            context=_typed(rec["context"], _NUMBERS, "context"),
+        )
+    except ValueError as exc:
+        where = group if index is None else f"{group}[{index}]"
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def write_dataset(scenes: list[Scene], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_fmt({"format": DATASET_FORMAT, "version": DATASET_VERSION}) + "\n")
+        fh.write(to_json_text({"format": DATASET_FORMAT, "version": DATASET_VERSION}) + "\n")
         for scene in scenes:
             record = {
                 "version": DATASET_VERSION,
@@ -439,7 +474,7 @@ def write_dataset(scenes: list[Scene], path) -> None:
                 "future": scene.future,
                 "future_mask": scene.future_mask,
             }
-            fh.write(_fmt(record) + "\n")
+            fh.write(to_json_text(record) + "\n")
 
 
 def read_dataset(path) -> list[Scene]:
@@ -469,11 +504,11 @@ def read_dataset(path) -> list[Scene]:
             if rec["version"] != DATASET_VERSION:
                 raise FormatError(f"line {line_no}: record version {rec['version']}")
             scene = Scene(
-                ego=_element_from_record(rec["ego"]),
-                agents=[_element_from_record(a) for a in rec["agents"]],
-                roads=[_element_from_record(r) for r in rec["roads"]],
-                future=rec["future"],
-                future_mask=rec["future_mask"],
+                ego=_element_from_record(rec["ego"], "ego"),
+                agents=[_element_from_record(a, "agents", i) for i, a in enumerate(rec["agents"])],
+                roads=[_element_from_record(r, "roads", i) for i, r in enumerate(rec["roads"])],
+                future=_typed(rec["future"], _NUMBERS, "future"),
+                future_mask=_typed(rec["future_mask"], _BOOLS, "future_mask"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, FormatError):

@@ -8,6 +8,7 @@ values. Weights are read by their model-file names through
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -267,6 +268,29 @@ def ref_adam_step(values, grads, m, v, t, lr, beta1, beta2, eps):
         m_hat = m[name] / (1.0 - beta1 ** t)
         v_hat = v[name] / (1.0 - beta2 ** t)
         values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def ref_json_text(value, sig_digits: int = 17) -> str:
+    """The per-value recursive JSON formatter: an array goes through `.tolist()`
+    and every scalar is formatted on its own."""
+    spec = f".{sig_digits}g"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), spec)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(ref_json_text(v, sig_digits) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return ref_json_text(value.tolist(), sig_digits)
+    if isinstance(value, dict):
+        return "{" + ",".join(
+            f"{json.dumps(k)}:{ref_json_text(v, sig_digits)}" for k, v in value.items()
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(value)}")
 
 
 def check_lloyd_fixed_point(points_flat, weights, centroids_flat, atol=1e-9):

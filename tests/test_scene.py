@@ -1,7 +1,15 @@
+import dataclasses
+import functools
+import hashlib
 import json
+import operator
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from golfer.scene import (
     FormatError,
@@ -16,8 +24,10 @@ from golfer.scene import (
     generate_synthetic_scene,
     prediction_conditioning,
     read_dataset,
+    to_json_text,
     write_dataset,
 )
+from oracles import ref_json_text
 
 FULLY_MASKED_FRACTION = 0.85 ** 16  # ~0.0743
 ALL_VALID = np.ones(16, dtype=bool)
@@ -208,15 +218,45 @@ class TestDatasetIO:
         write_dataset(scenes, path)
         loaded = read_dataset(path)
         assert len(loaded) == len(scenes)
-        for a, b in zip(scenes, loaded):
-            assert (a.future == b.future).all()
-            assert (a.future_mask == b.future_mask).all()
-            assert (a.ego.tokens == b.ego.tokens).all()
-            assert len(a.agents) == len(b.agents)
-            for ea, eb in zip(a.roads, b.roads):
-                assert (ea.tokens == eb.tokens).all()
-                assert (ea.mask == eb.mask).all()
-                assert (ea.context == eb.context).all()
+        for i, (a, b) in enumerate(zip(scenes, loaded)):
+            _assert_bitwise_equal(a, b, f"scene {i}")
+
+    @pytest.mark.parametrize("config, digest", [
+        (GeneratorConfig(), "7e59e60afea0844bf4c80a2b03eff2f591deff4b9cded8f70ee97e3a7f9d9fb7"),
+        (GeneratorConfig(num_roads=(16, 24), num_agents=(8, 12)),
+         "0ebab4b4a4f587f961440302467325525ca98e821b063af698326aaa5ed62073"),
+    ], ids=["default", "crowded"])
+    def test_dataset_file_bytes_are_pinned(self, tmp_path, config, digest):
+        """Dataset files are pinned byte for byte: neither the generator nor
+        the formatter may move them."""
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(generate_dataset(config, 8), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("where, edit, field", [
+        (("roads", 0, "mask"), lambda m: [2, 0.5, *m[2:]], "roads[0]: mask"),
+        (("ego", "mask"), lambda m: [1] * len(m), "ego: mask"),
+        (("future_mask",), lambda m: [7, *m[1:]], "future_mask"),
+        (("agents", 0, "tokens"), lambda t: [["12.5", *t[0][1:]], *t[1:]], "agents[0]: tokens"),
+        (("agents", 0, "tokens"), lambda t: [[v != 0 for v in row] for row in t], "agents[0]: tokens"),
+        (("ego", "context"), lambda c: [True] * len(c), "ego: context"),
+        (("roads", 1, "context"), lambda c: [None, *c[1:]], "roads[1]: context"),
+        (("future",), lambda f: [[str(v) for v in row] for row in f], "future"),
+    ], ids=["numbers-in-road-mask", "integer-ego-mask", "number-in-future-mask", "string-token",
+            "boolean-tokens", "boolean-context", "null-in-context", "string-future"])
+    def test_mistyped_value_names_the_line_and_field(self, tmp_path, where, edit, field):
+        scenes = generate_dataset(GeneratorConfig(seed=22), 2)
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(scenes, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        *parents, key = where
+        holder = functools.reduce(operator.getitem, parents, record)
+        holder[key] = edit(holder[key])
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"line 3: .*{re.escape(field)}: expected"):
+            read_dataset(path)
 
     def test_empty_file_is_an_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -267,3 +307,43 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="finite"):
             Scene(ego=scenes[0].ego, agents=[], roads=[],
                   future=np.full((4, 2), np.inf), future_mask=np.ones(4, dtype=bool))
+
+
+def _assert_bitwise_equal(a, b, where):
+    """Every field of `a` and `b`, recursing through dataclasses and lists;
+    arrays must agree in dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_bitwise_equal(x, y, f"{where}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    else:
+        assert a == b, where
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+                2.2250738585072014e-308, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())),
+    hnp.arrays(np.bool_, _SHAPES),
+    hnp.arrays(st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes()), _SHAPES),
+)
+_JSON_VALUES = st.one_of(
+    _ARRAYS,
+    st.lists(_ARRAYS, max_size=3),
+    st.dictionaries(st.text(max_size=4), st.one_of(_ARRAYS, st.lists(_ARRAYS, max_size=2)), max_size=3),
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES, sig_digits=st.sampled_from([9, 17]))
+    def test_matches_the_per_value_formatter(self, value, sig_digits):
+        assert to_json_text(value, sig_digits) == ref_json_text(value, sig_digits)
