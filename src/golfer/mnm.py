@@ -17,7 +17,11 @@ layers stay full-width. The coordinate-wise max makes per-group pooling
 identical to full-width pooling, so max-pool Mix runs before the split.
 
 The query-conditioned block runs E token sets at once, packed as the rows of
-one (N,d) matrix with a segment id per row and one query per segment.
+one (N,d) matrix with one query per set; the rows' set ids arrive as one
+checked `numerics.Segments` plan, shared by every block over those rows. It
+standardizes its mixed tokens once for both of its token norms, and a block
+whose tokens nothing reads (the last of a query-only stack) updates only
+its query, skipping the token norm, FFN and residual add.
 """
 
 from __future__ import annotations
@@ -260,29 +264,36 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     return nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
 
 
-def mnm_query(tape: Tape, x: Node, c: Node, segments, params: MnMBlockParams) -> tuple[Node, Node]:
+def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments, params: MnMBlockParams,
+              update_tokens: bool = True) -> tuple[Node | None, Node]:
     """Query-conditioned variant over E packed token sets; Match runs first.
 
-    x is (N,d) token rows, `segments` the sorted set id of each row, and c
+    x is (N,d) token rows, `segments` the plan of each row's set id, and c
     the (E,d) incoming queries, one per set.
 
     S  <- Match(C[segments], X) + X
     C' <- SegmentMax(Norm(S))
     X' <- FFN(Norm(S)) + S
     C''<- FFN_q(Norm(C')) + C'
+
+    S is standardized once; the two norms of S apply their own scale and
+    shift to it. A caller that reads only the query, such as the last block
+    of a stack, passes `update_tokens=False`: X' is then neither computed nor
+    returned (None in its place), and C'' is unchanged.
     """
     if not params.query_variant:
         raise ValueError("block was not initialized as a query-variant block")
-    if c.value.ndim != 2 or c.value.shape[1] != params.d:
-        raise DimensionError(f"queries {c.value.shape}, expected (E,{params.d})")
+    if c.value.shape != (segments.count, params.d):
+        raise DimensionError(f"queries {c.value.shape}, expected ({segments.count},{params.d})")
     rows = _split_heads(nm.take_rows(c, segments), params.heads)
     s = nm.add(_match_heads(tape, params, rows, x), x)
-    s_mix = nm.layer_norm(s, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
-                          LAYER_NORM_EPS)
-    c_mix = nm.segment_max(s_mix, segments, c.value.shape[0])
-    sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),
-                       LAYER_NORM_EPS)
-    x_out = nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
+    s_std = nm.Standardized(s, LAYER_NORM_EPS)
+    s_mix = nm.affine_norm(s_std, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta))
+    c_mix = nm.segment_max(s_mix, segments)
+    x_out = None
+    if update_tokens:
+        sn = nm.affine_norm(s_std, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta))
+        x_out = nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
     cn = nm.layer_norm(c_mix, tape.watch(params.norm_q_gamma), tape.watch(params.norm_q_beta),
                        LAYER_NORM_EPS)
     c_out = nm.add(_ffn(tape, params, cn, params.w3, params.w4), c_mix)

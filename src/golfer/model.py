@@ -6,10 +6,13 @@ interacts with the road latents and with the agent latents through
 product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
 encoding. The FE stack runs once per scene, over the valid token rows of all
 its elements packed into one matrix with each row's element id as its
-segment id. The decoder maps that encoding through independent MLP branches to
-K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
-branches are identically shaped, so they run as one MLP with the mode as a
-leading array axis. Each per-kind, per-head and per-mode weight family is
+segment id; those ids are checked once per forward, as one segment plan that
+every FE block reuses. Each interaction stack returns only its ego query, so
+its last block updates that query and skips its token update. The decoder
+maps that encoding through independent MLP branches to K trajectory modes
+(per-step diagonal Gaussians) plus mode logits. The K branches are
+identically shaped, so they run as one MLP with the mode as a leading array
+axis. Each per-kind, per-head and per-mode weight family is
 stored as one stacked tensor; `named_parameters` yields its slices as views.
 Every family is in turn a view of one flat value buffer and one flat grad
 buffer, so the optimizer and the grad reset act on the whole model at once.
@@ -301,27 +304,32 @@ def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
 
 def encode_element(tape: Tape, elements: list[SceneElement], params: ModelParams) -> Node:
     """Encode E elements in one FE pass over their packed valid token rows
-    (invalid rows are dropped, not padded) -> (E,d) latents."""
-    if not elements or any(e.num_valid == 0 for e in elements):
+    (invalid rows are dropped, not padded) -> (E,d) latents. The rows'
+    element ids form one segment plan, shared by every FE block and the
+    final pooling."""
+    counts = [e.num_valid for e in elements]
+    if not elements or 0 in counts:
         raise EmptySetError("cannot encode an element with no valid tokens")
+    segments = nm.Segments(np.repeat(np.arange(len(elements)), counts), len(elements))
     kinds = np.array([_ELEMENT_KINDS.index(e.kind) for e in elements])
-    segments = np.repeat(np.arange(len(elements)), [e.num_valid for e in elements])
-    tokens = _kind_rows(tape, params.token_w, params.token_b, kinds[segments],
+    tokens = _kind_rows(tape, params.token_w, params.token_b, kinds[segments.ids],
                         np.concatenate([e.tokens[e.mask] for e in elements]))
     context = _kind_rows(tape, params.ctx_w, params.ctx_b, kinds,
                          np.stack([e.context for e in elements]))
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, segments, block)
-    return nm.maximum(nm.segment_max(tokens, segments, len(elements)), context)
+    return nm.maximum(nm.segment_max(tokens, segments), context)
 
 
 def interact(tape: Tape, ego_latent: Node, latents: Node, blocks: list[MnMBlockParams]) -> Node:
     """Ego-conditioned set interaction: the (n,d) latents are one segment
-    whose query is the (1,d) ego latent; returns the final (1,d) query."""
-    segments = np.zeros(latents.value.shape[0], dtype=int)
+    whose query is the (1,d) ego latent; returns the final (1,d) query. Only
+    the query leaves the stack, so its last block updates the query alone."""
+    segments = nm.Segments(np.zeros(latents.value.shape[0], dtype=int), 1)
     context = ego_latent
-    for block in blocks:
-        latents, context = mnm_query(tape, latents, context, segments, block)
+    for depth, block in enumerate(blocks, start=1):
+        latents, context = mnm_query(tape, latents, context, segments, block,
+                                     update_tokens=depth < len(blocks))
     return context
 
 
@@ -337,15 +345,15 @@ def encode_scene(
     roads, agents = list(scene.roads), list(scene.agents)
     if goal is not None:
         (roads if placement == PLACE_ROADS else agents).append(goal)
-    roads, agents = ([e for e in group if e.num_valid > 0] for group in (roads, agents))
+    roads, agents = ([e for e in group if e.mask.any()] for group in (roads, agents))
     latents = encode_element(tape, [scene.ego, *roads, *agents], params)
 
     def set_latents(start: int, count: int, null: Parameter) -> Node:
         if count == 0:
             return nm.reshape(tape.watch(null), (1, params.config.d))
-        return nm.take_rows(latents, np.arange(start, start + count))
+        return nm.take_rows(latents, slice(start, start + count))
 
-    f_ego = nm.take_rows(latents, [0])
+    f_ego = nm.take_rows(latents, slice(0, 1))
     f_road = interact(tape, f_ego, set_latents(1, len(roads), params.null_road), params.road_interact)
     f_agent = interact(tape, f_ego, set_latents(1 + len(roads), len(agents), params.null_agent),
                        params.agent_interact)

@@ -23,8 +23,10 @@ Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 (`matmul`, `masked_softmax_rows`, the elementwise and structural ops) treat
 leading axes, such as attention heads or decoder modes, as a batch.
 Sets of rows, such as the tokens of a scene's elements, are packed into one
-(N,d) matrix with a segment id per row, not padded; `take_rows` and
-`segment_max` gather to and pool from those rows.
+(N,d) matrix with a segment id per row, not padded. The ids are checked once,
+as a `Segments` plan, which every `take_rows` and `segment_max` over those
+rows reuses to gather to and pool from them. A `Standardized` x is likewise
+computed once and shared by each `affine_norm` (layer norm) of the same x.
 """
 
 from __future__ import annotations
@@ -312,13 +314,23 @@ def relu(x: Node) -> Node:
 
 
 def gelu(x: Node) -> Node:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + erf(x.value / _SQRT2))
+    """Exact Gaussian-CDF form: x * Phi(x). Temporaries are built in place,
+    in the order of 0.5 * (1 + erf(x / sqrt 2)), so the bits are the same."""
+    cdf = x.value / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Node(x.value * cdf, x.tape)
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.value * x.value)
-        _accumulate(x, g * (cdf + x.value * pdf))
+        dx = np.multiply(x.value, -0.5)
+        dx *= x.value
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.value
+        dx += cdf
+        dx *= g
+        _accumulate(x, dx)
 
     x.tape.record(out, backward)
     return out
@@ -407,14 +419,63 @@ def slice_last(x: Node, lo: int, hi: int) -> Node:
     return out
 
 
-def take_rows(x: Node, index) -> Node:
-    """x[index] along the first axis; a repeated row's gradient sums its copies,
-    so `take_rows(x, [0] * k)` of a (1,...) x repeats it k times."""
-    idx = np.asarray(index, dtype=np.intp)
-    out = Node(x.value[idx], x.tape)
+class Segments:
+    """The segment ids of packed rows, checked once and shared by every
+    `take_rows` and `segment_max` over those rows.
 
-    def backward(g):
-        np.add.at(x.grad, idx, g)
+    Row i is in segment ids[i]; the ids run 0..count-1 in order, each over
+    at least one row, and `starts` holds each segment's first row.
+    """
+
+    __slots__ = ("ids", "count", "starts")
+
+    def __init__(self, ids, count: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        # The first row counts as a step up. Ids from 0 to count-1 that never
+        # step down and step up count times are in order and gapless.
+        steps = np.ones(ids.shape, dtype=np.intp)
+        np.subtract(ids[1:], ids[:-1], out=steps[1:])
+        starts = steps.nonzero()[0]
+        if (ids.ndim != 1 or ids.size == 0 or ids[0] != 0 or ids[-1] != count - 1
+                or starts.size != count or np.minimum.reduce(steps) < 0):
+            raise DimensionError(f"segment ids must run 0..{count - 1} in order, "
+                                 f"each over at least one row")
+        self.ids, self.count, self.starts = ids, count, starts
+
+
+def take_rows(x: Node, index) -> Node:
+    """x[index] along the first axis; a repeated row's gradient sums its copies
+    in order, so `take_rows(x, [0] * k)` of a (1,...) x repeats it k times.
+
+    `index` is a `Segments` plan (row i is x[plan.ids[i]]), a `slice` (a view
+    of a contiguous range) or any integer index. Each backward adds the same
+    values in the same order as `np.add.at`: a slice adds once per row, and
+    a plan lays out x's gradient and then, rank by rank, each segment's rows
+    in the slot of their segment, and sums the layout over ranks (numpy sums
+    pairwise only along a contiguous axis, so this holds whenever x has more
+    than one value)."""
+    if isinstance(index, Segments):
+        plan = index
+        out = Node(x.value[plan.ids], x.tape)
+
+        def backward(g):
+            grad = x.grad
+            ranks = np.arange(1, plan.ids.size + 1) - plan.starts[plan.ids]
+            layout = np.zeros((ranks.max() + 1, *grad.shape))
+            layout[0] = grad
+            layout[ranks, plan.ids] = g
+            np.add.reduce(layout, axis=0, out=grad)
+    elif isinstance(index, slice):
+        out = Node(x.value[index], x.tape)
+
+        def backward(g):
+            x.grad[index] += g
+    else:
+        idx = np.asarray(index, dtype=np.intp)
+        out = Node(x.value[idx], x.tape)
+
+        def backward(g):
+            np.add.at(x.grad, idx, g)
 
     x.tape.record(out, backward)
     return out
@@ -464,40 +525,61 @@ def logsumexp(v: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
+class Standardized:
+    """x standardized along its last axis: xhat = (x - mean) * inv_std, with
+    inv_std = 1 / sqrt(var + epsilon). Several `affine_norm` ops can share
+    one, so each norm of the same x costs only its own scale and shift."""
+
+    __slots__ = ("x", "xhat", "inv_std")
+
+    def __init__(self, x: Node, epsilon: float):
+        if epsilon <= 0:
+            raise ValueError("layer_norm: epsilon must be positive")
+        d = x.value.shape[-1]
+        # Sums as add.reduce and means as sum / d: bitwise equal to ndarray.sum
+        # and ndarray.mean, without their Python wrappers.
+        mu = np.add.reduce(x.value, axis=-1, keepdims=True) / d
+        xc = x.value - mu
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+        self.x = x
+        self.inv_std = 1.0 / np.sqrt(var + epsilon)
+        self.xhat = xc * self.inv_std
+
+
+def affine_norm(z: Standardized, gamma: Node, beta: Node) -> Node:
+    """xhat * gamma + beta of a standardized x; gamma and beta are (d,). Its
+    backward closes over z's arrays, and each op sharing z adds its own
+    gradient to x."""
+    x, xhat, inv_std = z.x, z.xhat, z.inv_std
+    d = xhat.shape[-1]
+    if gamma.value.shape != (d,) or beta.value.shape != (d,):
+        raise DimensionError(
+            f"layer_norm: feature dim {d}, gamma {gamma.value.shape}, beta {beta.value.shape}"
+        )
+    out = Node(xhat * gamma.value + beta.value, x.tape)
+
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        _accumulate(gamma, np.add.reduce(g * xhat, axis=lead))
+        _accumulate(beta, np.add.reduce(g, axis=lead))
+        dxhat = g * gamma.value
+        _accumulate(x, inv_std * (
+            dxhat
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
+        ))
+
+    x.tape.record(out, backward)
+    return out
+
+
 def layer_norm(x: Node, gamma: Node, beta: Node, epsilon: float = 1e-5) -> Node:
     """Standardize along the last axis, then scale/shift.
 
     Works on (n,d) matrices (per-row) and (d,) vectors alike; gamma and beta
     are (d,).
     """
-    d = x.value.shape[-1]
-    if gamma.value.shape != (d,) or beta.value.shape != (d,):
-        raise DimensionError(
-            f"layer_norm: feature dim {d}, gamma {gamma.value.shape}, beta {beta.value.shape}"
-        )
-    if epsilon <= 0:
-        raise ValueError("layer_norm: epsilon must be positive")
-    # Means as sum / d: bitwise equal to ndarray.mean, without its Python wrapper.
-    mu = x.value.sum(axis=-1, keepdims=True) / d
-    xc = x.value - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = xc * inv_std
-    out = Node(xhat * gamma.value + beta.value, x.tape)
-
-    def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        _accumulate(gamma, (g * xhat).sum(axis=lead))
-        _accumulate(beta, g.sum(axis=lead))
-        dxhat = g * gamma.value
-        _accumulate(x, inv_std * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / d
-            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        ))
-
-    x.tape.record(out, backward)
-    return out
+    return affine_norm(Standardized(x, epsilon), gamma, beta)
 
 
 def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
@@ -536,22 +618,18 @@ def masked_max_pool(x: Node, mask) -> Node:
     if not m.any():
         raise EmptySetError("masked_max_pool: mask has no valid rows")
     rows = np.flatnonzero(m)
-    pooled = segment_max(take_rows(x, rows), np.zeros(rows.size, dtype=int), 1)
+    pooled = segment_max(take_rows(x, rows), Segments(np.zeros(rows.size, dtype=int), 1))
     return reshape(pooled, (x.value.shape[1],))
 
 
-def segment_max(x: Node, segments, count: int) -> Node:
-    """Column-wise max over each segment's rows: (N,d) -> (count,d). Row i is
-    in segment segments[i]; the ids run 0..count-1 in order, each over at
-    least one row. Each column's gradient routes to the first row of its
-    segment achieving the maximum."""
-    seg = np.asarray(segments)
-    steps = np.diff(seg)
-    if (x.value.ndim != 2 or seg.shape != (x.value.shape[0],) or seg.size == 0 or seg[0] != 0
-            or seg[-1] != count - 1 or ((steps != 0) & (steps != 1)).any()):
-        raise DimensionError(f"segment_max: values {x.value.shape}, segment ids must run "
-                             f"0..{count - 1} in order, each over at least one row")
-    starts = np.flatnonzero(np.concatenate(([1], steps)))
+def segment_max(x: Node, segments: Segments) -> Node:
+    """Column-wise max over each segment's rows: (N,d) -> (count,d). Each
+    column's gradient routes to the first row of its segment achieving the
+    maximum."""
+    seg = segments.ids
+    if x.value.ndim != 2 or x.value.shape[0] != seg.size:
+        raise DimensionError(f"segment_max: values {x.value.shape}, {seg.size} segment ids")
+    starts = segments.starts
     value = np.maximum.reduceat(x.value, starts, axis=0)
     out = Node(value, x.tape)
 

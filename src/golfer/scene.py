@@ -462,6 +462,17 @@ def _element_from_record(rec: dict, group: str, index: int | None = None) -> Sce
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _reject_bools(rec: dict) -> None:
+    """Raise naming the first numeric array of a record that holds a JSON
+    true or false, which numpy would otherwise read as 1.0 or 0.0."""
+    elements = [("ego", rec["ego"])] + [(f"{group}[{i}]", e) for group in ("agents", "roads")
+                                        for i, e in enumerate(rec[group])]
+    fields = [(f"{where}: {name}", e[name]) for where, e in elements for name in ("tokens", "context")]
+    for field, value in [*fields, ("future", rec["future"])]:
+        if any(type(v) is bool for v in np.asarray(value, dtype=object).flat):
+            raise ValueError(f"{field}: expected numbers, got a true/false value")
+
+
 def write_dataset(scenes: list[Scene], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json_text({"format": DATASET_FORMAT, "version": DATASET_VERSION}) + "\n")
@@ -510,6 +521,12 @@ def read_dataset(path) -> list[Scene]:
                 future=_typed(rec["future"], _NUMBERS, "future"),
                 future_mask=_typed(rec["future_mask"], _BOOLS, "future_mask"),
             )
+            # Masks hold every true/false of a well-formed record; only a line
+            # with another count is scanned for one in a numeric array.
+            mask_values = scene.future_mask.size + sum(
+                e.mask.size for e in (scene.ego, *scene.agents, *scene.roads))
+            if line.count("true") + line.count("false") != mask_values:
+                _reject_bools(rec)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, FormatError):
                 raise

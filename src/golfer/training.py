@@ -41,7 +41,8 @@ def select_winner(means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> int:
     if not valid.any():
         raise EmptySetError("select_winner: no valid steps")
     diffs = means[:, valid, :] - np.asarray(gt)[valid]
-    dists = np.linalg.norm(diffs, axis=2).mean(axis=1)
+    # np.linalg.norm and ndarray.mean, as the ufunc reductions they wrap.
+    dists = np.add.reduce(np.sqrt(np.add.reduce(diffs * diffs, axis=2)), axis=1) / diffs.shape[1]
     return int(np.argmin(dists))
 
 

@@ -162,7 +162,7 @@ class TestQueryBlock:
         mask = np.array([True, True, False, True, True])
         tape = Tape()
         x_out, c_out = mnm_query(tape, tape.constant(x[mask]), tape.constant(c[None]),
-                                 np.zeros(4, dtype=int), block)
+                                 nm.Segments(np.zeros(4, dtype=int), 1), block)
         assert (x_out.value == x[mask]).all()
         expected_c = ref_max_pool(
             ref_layer_norm(x, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
@@ -175,7 +175,7 @@ class TestQueryBlock:
         x = _rng(13).normal(size=(4, 8))
         tape = Tape()
         x_out, _ = mnm_query(tape, tape.constant(x), tape.constant(np.ones((1, 8))),
-                             np.zeros(4, dtype=int), block)
+                             nm.Segments(np.zeros(4, dtype=int), 1), block)
         np.testing.assert_allclose(x_out.value, 2.0 * x, atol=1e-15)
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -190,12 +190,27 @@ class TestQueryBlock:
             rng = _rng(seed + 400)
             x, c = rng.normal(size=(6, 8)), rng.normal(size=(2, 8))
             tape = Tape()
-            x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c), segments, block)
+            x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c),
+                                     nm.Segments(segments, 2), block)
             for e in range(2):
                 rows = segments == e
                 exp_x, exp_c = ref_mnm_query(block, x[rows], c[e], np.ones(3, dtype=bool))
                 np.testing.assert_allclose(x_out.value[rows], exp_x, atol=1e-12)
                 np.testing.assert_allclose(c_out.value[e], exp_c, atol=1e-12)
+
+
+    def test_unread_tokens_are_skipped_and_the_query_is_unchanged(self):
+        block = _block(14, match_kind=MatchKind.PRODUCT, query=True, product_proj=True)
+        x, c = _rng(15).normal(size=(5, 8)), _rng(16).normal(size=(2, 8))
+        segments = nm.Segments([0, 0, 1, 1, 1], 2)
+        full, query_only = Tape(), Tape()
+        _, c_full = mnm_query(full, full.constant(x), full.constant(c), segments, block)
+        x_out, c_out = mnm_query(query_only, query_only.constant(x), query_only.constant(c),
+                                 segments, block, update_tokens=False)
+        assert x_out is None
+        assert c_out.value.tobytes() == c_full.value.tobytes()
+        # The token norm, both FFN matmuls, the activation and the residual add.
+        assert len(full._steps) - len(query_only._steps) == 5
 
 
 class TestMultiHead:

@@ -89,7 +89,7 @@ class TestFeBlock:
         mask = np.array([True, True, False, True, True])
         tape = Tape()
         t_out, c_out = mnm_query(tape, tape.constant(tokens[mask]), tape.constant(context[None]),
-                                 np.zeros(4, dtype=int), block)
+                                 nm.Segments(np.zeros(4, dtype=int), 1), block)
         assert (t_out.value == tokens[mask]).all()
         expected = ref_max_pool(
             ref_layer_norm(tokens, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
@@ -101,7 +101,7 @@ class TestFeBlock:
                                query_variant=True)
         rng = _rng(3)
         tokens, context = rng.normal(size=(6, 16)), rng.normal(size=16)
-        segments = np.zeros(6, dtype=int)
+        segments = nm.Segments(np.zeros(6, dtype=int), 1)
         perm = rng.permutation(6)
         tape = Tape()
         t_base, c_base = mnm_query(tape, tape.constant(tokens), tape.constant(context[None]),

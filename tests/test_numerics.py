@@ -197,22 +197,23 @@ class TestSegmentOps:
     def test_segment_max_is_the_max_pool_of_each_segment(self):
         x = _rng(12).normal(size=(7, 4))
         segments = np.array([0, 0, 0, 1, 2, 2, 2])
-        out = _value(lambda xx: nm.segment_max(xx, segments, 3), x)
+        out = _value(lambda xx: nm.segment_max(xx, nm.Segments(segments, 3)), x)
         expected = [ref_max_pool(x, segments == e) for e in range(3)]
         assert (out == np.array(expected)).all()
 
     def test_segment_max_routes_a_tie_to_the_first_row_of_its_segment(self):
         x = Parameter(np.array([[1.0], [2.0], [2.0], [2.0], [2.0]]))
         tape = Tape()
-        out = nm.segment_max(tape.watch(x), [0, 0, 0, 1, 1], 2)
+        out = nm.segment_max(tape.watch(x), nm.Segments([0, 0, 0, 1, 1], 2))
         tape.backward(nm.weighted_sum(out, np.ones((2, 1))))
         assert (x.grad[:, 0] == [0.0, 1.0, 0.0, 1.0, 0.0]).all()
 
     def test_segment_max_rejects_unsorted_and_empty_segments(self):
-        x = np.zeros((3, 2))
-        for segments, count in (([1, 0, 1], 2), ([0, 0, 2], 3), ([0, 0, 1], 3), ([0, 0], 1)):
+        for segments, count in (([1, 0, 1], 2), ([0, 0, 2], 3), ([0, 0, 1], 3), ([], 1)):
             with pytest.raises(DimensionError, match="in order"):
-                _value(lambda xx: nm.segment_max(xx, segments, count), x)
+                nm.Segments(segments, count)
+        with pytest.raises(DimensionError, match="3 segment ids"):
+            _value(lambda xx: nm.segment_max(xx, nm.Segments([0, 0, 1], 2)), np.zeros((2, 2)))
 
     def test_take_rows_sums_the_gradient_of_repeated_rows(self):
         x = Parameter(_rng(13).normal(size=(3, 2)))
@@ -221,6 +222,53 @@ class TestSegmentOps:
         assert (out.value == x.value[[2, 0, 2]]).all()
         tape.backward(nm.weighted_sum(out, np.ones((3, 2))))
         assert (x.grad == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]).all()
+
+    @pytest.mark.parametrize("trailing", [(16,), (1, 8), (3,)])
+    def test_plan_and_slice_gathers_sum_their_gradient_as_np_add_at(self, trailing):
+        """A plan's or a slice's backward adds the same values in the same
+        order as np.add.at, onto a gradient the node may already hold."""
+        rng = _rng(14)
+        for trial in range(20):
+            counts = rng.integers(1, 12, size=int(rng.integers(1, 8)))
+            ids = np.repeat(np.arange(counts.size), counts)
+            lo = int(rng.integers(0, counts.size))
+            for index, rows in ((nm.Segments(ids, counts.size), ids),
+                                (slice(lo, counts.size), np.arange(lo, counts.size))):
+                x = Parameter(rng.normal(size=(counts.size, *trailing)))
+                held = rng.normal(size=x.value.shape) * (trial % 2)
+                g = rng.normal(size=(rows.size, *trailing)) * 10.0 ** rng.integers(-6, 6, rows.size)[
+                    (slice(None),) + (None,) * len(trailing)]
+                x.grad[...] = held
+                tape = Tape()
+                out = nm.take_rows(tape.watch(x), index)
+                assert (out.value == x.value[rows]).all()
+                tape.backward(nm.weighted_sum(out, g))
+                expected = held.copy()
+                np.add.at(expected, rows, g)
+                assert x.grad.tobytes() == expected.tobytes()
+
+
+class TestSharedStandardization:
+    def test_norms_of_one_standardized_x_equal_separate_layer_norms_bit_for_bit(self):
+        rng = _rng(15)
+        x = Parameter(rng.normal(size=(5, 6)) * 3.0)
+        gammas = [Parameter(rng.normal(size=6)) for _ in range(2)]
+        betas = [Parameter(rng.normal(size=6)) for _ in range(2)]
+        weights = [rng.normal(size=(5, 6)) for _ in range(2)]
+        grads, values = [], []
+        for shared in (False, True):
+            for p in (x, *gammas, *betas):
+                p.zero_grad()
+            tape = Tape()
+            xn = tape.watch(x)
+            z = nm.Standardized(xn, 1e-5)
+            outs = [nm.affine_norm(z, tape.watch(gm), tape.watch(bt)) if shared
+                    else nm.layer_norm(xn, tape.watch(gm), tape.watch(bt), 1e-5)
+                    for gm, bt in zip(gammas, betas)]
+            tape.backward(nm.add(*[nm.weighted_sum(o, w) for o, w in zip(outs, weights)]))
+            values.append(b"".join(o.value.tobytes() for o in outs))
+            grads.append(b"".join(p.grad.tobytes() for p in (x, *gammas, *betas)))
+        assert values[0] == values[1] and grads[0] == grads[1]
 
 
 class TestGradientCheck:
@@ -307,7 +355,7 @@ class TestValueOnlyTape:
         w = nm.transpose(nm.reshape(nm.concat_last(z, nm.slice_last(z, 1, 3)), (6, 5)), (1, 0))
         attention = nm.masked_softmax_rows(nm.matmul(x, nm.transpose(y, (1, 0))), mask, mask)
         z = nm.slice_last(nm.matmul(attention, w), 0, 4)
-        pooled = nm.segment_max(z, [0, 0, 1, 1, 1], 2)
+        pooled = nm.segment_max(z, nm.Segments([0, 0, 1, 1, 1], 2))
         s = nm.reshape(nm.concat_last(nm.masked_max_pool(x, mask), nm.pick(pooled, 1)), (2, 4))
         total = nm.logsumexp(nm.matmul(nm.pick(s, 0), nm.take_rows(y, [1, 0, 0, 2])))
         return nm.add(total, nm.weighted_sum(s, np.ones((2, 4))))

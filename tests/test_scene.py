@@ -242,8 +242,14 @@ class TestDatasetIO:
         (("ego", "context"), lambda c: [True] * len(c), "ego: context"),
         (("roads", 1, "context"), lambda c: [None, *c[1:]], "roads[1]: context"),
         (("future",), lambda f: [[str(v) for v in row] for row in f], "future"),
+        (("agents", 0, "tokens"), lambda t: [[True, *t[0][1:]], *t[1:]], "agents[0]: tokens"),
+        (("ego", "tokens"), lambda t: [*t[:-1], [*t[-1][:-1], False]], "ego: tokens"),
+        (("roads", 1, "context"), lambda c: [*c[:3], False, *c[4:]], "roads[1]: context"),
+        (("future",), lambda f: [[True, f[0][1]], *f[1:]], "future"),
     ], ids=["numbers-in-road-mask", "integer-ego-mask", "number-in-future-mask", "string-token",
-            "boolean-tokens", "boolean-context", "null-in-context", "string-future"])
+            "boolean-tokens", "boolean-context", "null-in-context", "string-future",
+            "boolean-among-tokens", "boolean-among-ego-tokens", "boolean-among-context",
+            "boolean-among-future"])
     def test_mistyped_value_names_the_line_and_field(self, tmp_path, where, edit, field):
         scenes = generate_dataset(GeneratorConfig(seed=22), 2)
         path = tmp_path / "scenes.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golfer import training
+from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
 from golfer.numerics import EmptySetError, Tape
 from golfer.scene import (
@@ -400,3 +402,70 @@ def test_tape_records_per_crowded_scene_forward_within_budget():
         tape = Tape()
         forward_nodes(tape, scene, prediction_conditioning(scene.horizon), params)
         assert len(tape._steps) <= 200, (len(scene.roads) + len(scene.agents), len(tape._steps))
+
+
+DEEP_PROJ = GolferConfig(interact_depth=2, interact_proj=True)
+CROWDED = dict(num_roads=(16, 24), num_agents=(8, 12))
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _sample_scenes(model_config: GolferConfig, count: int, **generator):
+    return generate_dataset(GeneratorConfig(seed=41, horizon=model_config.horizon, **generator),
+                            count)
+
+
+class TestPinnedBytes:
+    """Forward outputs and trained parameters are pinned byte for byte: a
+    change that only removes work from a forward or backward must not move
+    them."""
+
+    @pytest.mark.parametrize("config, generator, digest", [
+        (GolferConfig(), {}, "26bde8b502eae71eedd13a9580ff3ffb23efebc3387c5547d5eda8400ae8e9ed"),
+        (GolferConfig(), CROWDED, "8b9aa92049b59b8780485da5bff3fadf11b9a3efc7f46e4ebc8a824ba1719cdf"),
+        (DEEP_PROJ, {}, "e4933b3e064b4fee6e042776186cfcea4efe0e468d3d5ff5556f2475ad7e99f0"),
+        (GRADCHECK_TINY, {}, "d391b6457956abe8bbb08193182e0bd6e98066687a401024f171aa61ec35a7e1"),
+    ], ids=["default", "crowded", "deep-proj", "gradcheck-tiny"])
+    def test_forward_outputs_are_pinned(self, config, generator, digest):
+        params = init_model_params(config)
+        rng = _rng(7)
+        outputs = []
+        for scene in _sample_scenes(config, 3, **generator):
+            for gc in (prediction_conditioning(scene.horizon),
+                       apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)):
+                pred = forward(scene, gc, params)
+                outputs += [pred.means, pred.log_sigmas, pred.logits]
+        assert _digest(outputs) == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        (GolferConfig(), "ba7eba4697839485cdcbde1e0bea63a8935842f3e1627f2f56fe0b082800d52b"),
+        (DEEP_PROJ, "8366adb7d9e9886aa29aec8a8a6b0e7dd5fd0fffe226e90c24e241c627a17a00"),
+        (GRADCHECK_TINY, "7ecb6d3831536523780378e7a96ab5885f8cadb9f0f3c445476aab1233297a8e"),
+    ], ids=["default", "deep-proj", "gradcheck-tiny"])
+    def test_trained_parameters_and_loss_trace_are_pinned(self, config, digest):
+        params, trace = train(_sample_scenes(config, 8), config, TrainConfig(epochs=2, seed=4))
+        losses = [(r.regression_nll, r.classification_ce, r.total) for r in trace]
+        assert _digest([params.values, np.array(losses)]) == digest
+
+
+@pytest.mark.parametrize("config", [GolferConfig(), GRADCHECK_TINY, DEEP_PROJ],
+                         ids=["default", "gradcheck-tiny", "deep-proj"])
+def test_every_recorded_op_of_a_training_sample_receives_a_gradient(config):
+    """An op whose output no later op reads records work that backward never
+    uses; the training graph holds none."""
+    params = init_model_params(config)
+    rng = _rng(3)
+    for scene in _sample_scenes(config, 4):
+        gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
+        tape = Tape()
+        pred = forward_nodes(tape, scene, gc, params)
+        total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask,
+                                    gc.exclusion_index, 1.0)
+        tape.backward(total)
+        dead = [step.__qualname__.split(".")[0] for node, step in tape._steps if node._grad is None]
+        assert dead == [], dead
