@@ -22,7 +22,6 @@ from .model import (
     init_model_params,
     interact,
     load_params,
-    parameter_count,
     save_params,
 )
 from .numerics import Node, Parameter, Tape, gradient_check
@@ -44,11 +43,8 @@ from .training import (
     AdamState,
     LossBreakdown,
     TrainConfig,
-    classification_loss,
-    gmm_nll,
     optimizer_step,
     select_winner,
-    total_loss,
     train,
 )
 

@@ -269,10 +269,6 @@ def init_model_params(config: GolferConfig) -> ModelParams:
     return params
 
 
-def parameter_count(params: ModelParams) -> int:
-    return params.values.size
-
-
 # ---------------------------------------------------------------------------
 # Forward graph
 # ---------------------------------------------------------------------------

@@ -367,7 +367,9 @@ def matmul(a: Node, b: Node) -> Node:
             _accumulate(b, np.outer(av, g))
         else:
             _accumulate(a, g @ np.swapaxes(bv, -1, -2))
-            _accumulate(b, np.swapaxes(av, -1, -2) @ g)
+            at = np.swapaxes(av, -1, -2)
+            # One row of a: each entry of b's gradient is a single product.
+            _accumulate(b, at * g if av.shape[-2] == 1 else at @ g)
 
     a.tape.record(out, backward)
     return out
@@ -443,39 +445,54 @@ class Segments:
         self.ids, self.count, self.starts = ids, count, starts
 
 
+def _ranks(ids: np.ndarray) -> np.ndarray:
+    """Each id's 1-based rank among the equal ids before it and itself, found
+    by a stable sort."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ranks = np.empty_like(ids)
+    ranks[order] = np.arange(1, ids.size + 1) - starts[np.cumsum(first) - 1]
+    return ranks
+
+
 def take_rows(x: Node, index) -> Node:
     """x[index] along the first axis; a repeated row's gradient sums its copies
     in order, so `take_rows(x, [0] * k)` of a (1,...) x repeats it k times.
 
     `index` is a `Segments` plan (row i is x[plan.ids[i]]), a `slice` (a view
-    of a contiguous range) or any integer index. Each backward adds the same
-    values in the same order as `np.add.at`: a slice adds once per row, and
-    a plan lays out x's gradient and then, rank by rank, each segment's rows
-    in the slot of their segment, and sums the layout over ranks (numpy sums
-    pairwise only along a contiguous axis, so this holds whenever x has more
-    than one value)."""
-    if isinstance(index, Segments):
-        plan = index
-        out = Node(x.value[plan.ids], x.tape)
-
-        def backward(g):
-            grad = x.grad
-            ranks = np.arange(1, plan.ids.size + 1) - plan.starts[plan.ids]
-            layout = np.zeros((ranks.max() + 1, *grad.shape))
-            layout[0] = grad
-            layout[ranks, plan.ids] = g
-            np.add.reduce(layout, axis=0, out=grad)
-    elif isinstance(index, slice):
+    of a contiguous range) or non-negative row numbers. Each backward adds
+    the same values in the same order as `np.add.at`: a slice adds once per
+    row; otherwise x's gradient and then, rank by rank, the copies of each of
+    x's rows are laid out in its slot, padded with -0.0, and the layout is
+    summed over ranks from -0.0 (x + -0.0 is x, also for x = -0.0).
+    A plan's ranks follow from its segment starts, row numbers' from a
+    stable sort. numpy sums pairwise only along a contiguous axis, so an x
+    of one value is summed with a running sum instead."""
+    if isinstance(index, slice):
         out = Node(x.value[index], x.tape)
 
         def backward(g):
             x.grad[index] += g
-    else:
-        idx = np.asarray(index, dtype=np.intp)
-        out = Node(x.value[idx], x.tape)
 
-        def backward(g):
-            np.add.at(x.grad, idx, g)
+        x.tape.record(out, backward)
+        return out
+    plan = index if isinstance(index, Segments) else None
+    ids = plan.ids if plan is not None else np.asarray(index, dtype=np.intp)
+    out = Node(x.value[ids], x.tape)
+
+    def backward(g):
+        grad = x.grad
+        ranks = np.arange(1, ids.size + 1) - plan.starts[ids] if plan is not None else _ranks(ids)
+        layout = np.full((ranks.max() + 1, *grad.shape), -0.0)
+        layout[0] = grad
+        layout[ranks, ids] = g
+        if grad.size == 1:
+            grad[...] = np.add.accumulate(layout.reshape(-1))[-1]
+        else:
+            np.add.reduce(layout, axis=0, out=grad, initial=-0.0)
 
     x.tape.record(out, backward)
     return out

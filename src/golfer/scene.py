@@ -488,6 +488,12 @@ def write_dataset(scenes: list[Scene], path) -> None:
             fh.write(to_json_text(record) + "\n")
 
 
+def _is_version(value) -> bool:
+    """Whether a header's or record's version is this format's, as a JSON
+    integer: `true` and `1.0` equal 1 in Python but are not versions."""
+    return type(value) is int and value == DATASET_VERSION
+
+
 def read_dataset(path) -> list[Scene]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -501,7 +507,7 @@ def read_dataset(path) -> list[Scene]:
         raise ParseError(f"line {header_no}: malformed header ({exc.msg})") from exc
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise FormatError(f"line {header_no}: not a {DATASET_FORMAT} file")
-    if header.get("version") != DATASET_VERSION:
+    if not _is_version(header.get("version")):
         raise FormatError(
             f"line {header_no}: unsupported version {header.get('version')} (expected {DATASET_VERSION})"
         )
@@ -512,7 +518,7 @@ def read_dataset(path) -> list[Scene]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: malformed record ({exc.msg})") from exc
         try:
-            if rec["version"] != DATASET_VERSION:
+            if not _is_version(rec["version"]):
                 raise FormatError(f"line {line_no}: record version {rec['version']}")
             scene = Scene(
                 ego=_element_from_record(rec["ego"], "ego"),

@@ -69,29 +69,11 @@ def gmm_nll_node(tape: Tape, mu: Node, log_sigma: Node, gt: np.ndarray, counted:
     return nm.add(nm.weighted_sum(terms, weights), tape.constant(LOG_2PI))
 
 
-def gmm_nll(
-    mu: np.ndarray,
-    log_sigma: np.ndarray,
-    gt: np.ndarray,
-    valid: np.ndarray,
-    exclusion_index: int | None = None,
-) -> float:
-    """Value-only convenience wrapper over the graph builder."""
-    tape = Tape(record=False)
-    counted = _counted_steps(valid, exclusion_index)
-    return float(gmm_nll_node(tape, tape.constant(mu), tape.constant(log_sigma), gt, counted).value)
-
-
 def classification_loss_node(tape: Tape, logits: Node, winner: int) -> Node:
     """Stabilized cross entropy -log softmax(logits)[winner]."""
     if not 0 <= winner < logits.value.shape[0]:
         raise ValueError(f"winner {winner} out of range for {logits.value.shape[0]} modes")
     return nm.add(nm.logsumexp(logits), nm.scale(nm.pick(logits, winner), -1.0))
-
-
-def classification_loss(logits: np.ndarray, winner: int) -> float:
-    tape = Tape(record=False)
-    return float(classification_loss_node(tape, tape.constant(logits), winner).value)
 
 
 def total_loss_nodes(
@@ -122,15 +104,6 @@ def total_loss_nodes(
     return total, breakdown
 
 
-def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> LossBreakdown:
-    """Value-only loss for an already-materialized Prediction."""
-    tape = Tape(record=False)
-    nodes = PredictionNodes(means=tape.constant(pred.means),
-                            log_sigmas=tape.constant(pred.log_sigmas),
-                            logits=tape.constant(pred.logits))
-    return total_loss_nodes(tape, nodes, gt, valid, exclusion_index, lam)[1]
-
-
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -139,12 +112,26 @@ def total_loss(pred, gt, valid, exclusion_index: int | None, lam: float) -> Loss
 # Elements per chunk of the Adam update: its six chunk-sized arrays (value,
 # grad, two moments, two temporaries) stay in a core's L2 cache.
 ADAM_CHUNK = 16384
+# Elements per block of the arena whose gradients Adam tracks: a block that
+# has never held a non-zero gradient is skipped.
+ADAM_BLOCK = 1024
+
+
+def _block_runs(flags: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """The (start, stop) element bounds of each run of flagged blocks in an
+    arena of `size` elements."""
+    edges = np.zeros(flags.size + 2, dtype=bool)
+    edges[1:-1] = flags
+    bounds = (np.flatnonzero(edges[1:] != edges[:-1]) * ADAM_BLOCK).tolist()
+    return [(lo, min(hi, size)) for lo, hi in zip(bounds[::2], bounds[1::2])]
 
 
 @dataclass
 class AdamState:
     """Adam's rates and moments; `m` and `v` are flat, laid out like the
-    parameter arena they update, and `scratch` holds two chunk temporaries."""
+    parameter arena they update, and `scratch` holds two chunk temporaries.
+    `touched` flags each `ADAM_BLOCK`-element block of the arena that has
+    ever held a non-zero gradient."""
 
     lr: float
     beta1: float
@@ -153,6 +140,7 @@ class AdamState:
     step_count: int
     m: np.ndarray
     v: np.ndarray
+    touched: np.ndarray
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), repr=False)
 
     @classmethod
@@ -160,19 +148,35 @@ class AdamState:
         """Zero moments for `size` parameters; rates and betas from `train_config`."""
         return cls(lr=train_config.lr, beta1=train_config.beta1, beta2=train_config.beta2,
                    epsilon=train_config.epsilon, step_count=0,
-                   m=nm.mapped_zeros(size), v=nm.mapped_zeros(size))
+                   m=nm.mapped_zeros(size), v=nm.mapped_zeros(size),
+                   touched=np.zeros(-(-size // ADAM_BLOCK), dtype=bool))
+
+    def touch(self, grads: np.ndarray) -> None:
+        """Flag each untouched block whose gradients hold a non-zero. Each run
+        of untouched blocks is tested whole, and block by block only if it
+        holds one; `any` sees a subnormal gradient, whose square would be 0."""
+        for lo, hi in _block_runs(~self.touched, grads.size):
+            if grads[lo:hi].any():
+                for start in range(lo, hi, ADAM_BLOCK):
+                    self.touched[start // ADAM_BLOCK] = grads[start:start + ADAM_BLOCK].any()
 
 
 def optimizer_step(params: ModelParams, state: AdamState) -> None:
-    """Bias-corrected adaptive-moment update of the whole arena, chunk by chunk
-    in place; grads are reset afterwards.
+    """Bias-corrected adaptive-moment update, chunk by chunk in place, of
+    every arena block that has ever held a non-zero gradient; grads are reset
+    afterwards (an untouched block's are zero already).
 
     One dot product checks every gradient: if the sum of squares is finite,
     so is every element. Otherwise each named parameter is checked, and a
     non-finite one raises before any state changes, leaving values, grads,
-    moments and the step count as they were; finite grads whose squares
-    overflow step normally. Each element sees the per-tensor operations in
-    the same order, so the bits do not depend on the chunking.
+    moments, touched blocks and the step count as they were; finite grads
+    whose squares overflow step normally. Each element sees the per-tensor
+    operations in the same order, so the bits do not depend on the chunking.
+    A block whose gradients and moments are all zero is a fixed point of the
+    update (its moments stay +0 and its step is 0/(sqrt(0)+eps) = 0), so the
+    blocks never touched are skipped with no bit changed; their moments'
+    pages are never written. A touched block stays touched, as its moments
+    are no longer zero.
     """
     grads = params.grads
     with np.errstate(over="ignore"):
@@ -181,29 +185,31 @@ def optimizer_step(params: ModelParams, state: AdamState) -> None:
         for name, p in params.named_parameters():
             if not np.isfinite(p.grad).all():
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
+    state.touch(grads)
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    for lo in range(0, grads.size, ADAM_CHUNK):
-        hi = lo + ADAM_CHUNK
-        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        a, b = state.scratch[:, :g.size]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=a)
-        m += a
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=a)
-        a *= g
-        v += a
-        np.divide(m, c1, out=a)
-        a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        a /= b
-        params.values[lo:hi] -= a
-        g.fill(0.0)
+    for first, stop in _block_runs(state.touched, grads.size):
+        for lo in range(first, stop, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, stop)
+            g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+            a, b = state.scratch[:, :g.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            params.values[lo:hi] -= a
+            g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

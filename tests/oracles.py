@@ -3,7 +3,9 @@
 Everything here recomputes results directly from definitions, with no tape,
 no shared code paths with the package internals beyond reading parameter
 values. Weights are read by their model-file names through
-`named_parameters()`, never through how the package stores them.
+`named_parameters()`, never through how the package stores them. The one
+exception is a section of value-only wrappers over the package's loss
+builders, which tests use to score plain arrays.
 """
 
 from __future__ import annotations
@@ -257,6 +259,53 @@ def ref_min_ade(means, gt, valid):
 def ref_min_fde(means, gt, valid):
     last = int(np.flatnonzero(np.asarray(valid, dtype=bool))[-1])
     return min(math.dist(means[k, last], gt[last]) for k in range(means.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# Value-only wrappers over the package's loss builders, so tests can score
+# plain arrays. These run package code: they are conveniences, not oracles.
+# ---------------------------------------------------------------------------
+
+
+def gmm_nll(mu, log_sigma, gt, valid, exclusion_index=None) -> float:
+    """`training.gmm_nll_node` on constants; the counted steps are the valid
+    ones minus the excluded one."""
+    from golfer.numerics import Tape
+    from golfer.training import gmm_nll_node
+
+    counted = np.asarray(valid, dtype=bool).copy()
+    if exclusion_index is not None:
+        counted[exclusion_index] = False
+    tape = Tape(record=False)
+    return float(gmm_nll_node(tape, tape.constant(mu), tape.constant(log_sigma), gt, counted).value)
+
+
+def classification_loss(logits, winner: int) -> float:
+    """`training.classification_loss_node` on constant logits."""
+    from golfer.numerics import Tape
+    from golfer.training import classification_loss_node
+
+    tape = Tape(record=False)
+    return float(classification_loss_node(tape, tape.constant(logits), winner).value)
+
+
+def total_loss(pred, gt, valid, exclusion_index, lam: float):
+    """`training.total_loss_nodes` of a materialized Prediction; returns its
+    LossBreakdown."""
+    from golfer.model import PredictionNodes
+    from golfer.numerics import Tape
+    from golfer.training import total_loss_nodes
+
+    tape = Tape(record=False)
+    nodes = PredictionNodes(means=tape.constant(pred.means),
+                            log_sigmas=tape.constant(pred.log_sigmas),
+                            logits=tape.constant(pred.logits))
+    return total_loss_nodes(tape, nodes, gt, valid, exclusion_index, lam)[1]
+
+
+def parameter_count(params) -> int:
+    """Scalars in a model's parameter arena."""
+    return params.values.size
 
 
 def ref_adam_step(values, grads, m, v, t, lr, beta1, beta2, eps):

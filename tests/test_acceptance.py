@@ -27,9 +27,9 @@ from golfer.scene import (
     generate_dataset,
     prediction_conditioning,
 )
-from golfer.training import TrainConfig, total_loss, train
+from golfer.training import TrainConfig, train
 
-from oracles import check_lloyd_fixed_point, ref_prenorm_transformer_layer
+from oracles import check_lloyd_fixed_point, ref_prenorm_transformer_layer, total_loss
 
 
 def _rng(seed):

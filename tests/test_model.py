@@ -22,7 +22,6 @@ from golfer.model import (
     init_model_params,
     interact,
     load_params,
-    parameter_count,
     save_params,
 )
 from golfer.numerics import EmptySetError, Node, Tape
@@ -43,6 +42,7 @@ from golfer.scene import (
 from golfer.training import total_loss_nodes
 
 from oracles import (
+    parameter_count,
     ref_decode,
     ref_encode_element,
     ref_encode_scene,

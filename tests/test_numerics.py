@@ -247,6 +247,27 @@ class TestSegmentOps:
                 np.add.at(expected, rows, g)
                 assert x.grad.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows, trailing", [(4, (16,)), (3, ()), (1, (64,)), (1, ()), (1, (1,))],
+                             ids=["rows", "scalars", "one-row", "one-value", "one-value-2d"])
+    def test_row_number_gathers_sum_their_gradient_as_np_add_at(self, rows, trailing):
+        """Unsorted, repeated row numbers add in np.add.at's order too, also
+        into an x of one value, where a reduce over ranks would sum pairwise."""
+        rng = _rng(16)
+        for trial in range(20):
+            index = rng.integers(0, rows, size=int(rng.integers(1, 40)))
+            x = Parameter(rng.normal(size=(rows, *trailing)))
+            held = rng.normal(size=x.value.shape) * (trial % 2)
+            g = rng.normal(size=(index.size, *trailing)) * 10.0 ** rng.integers(-6, 6, index.size)[
+                (slice(None),) + (None,) * len(trailing)]
+            x.grad[...] = held
+            tape = Tape()
+            out = nm.take_rows(tape.watch(x), index)
+            assert (out.value == x.value[index]).all()
+            tape.backward(nm.weighted_sum(out, g))
+            expected = held.copy()
+            np.add.at(expected, index, g)
+            assert x.grad.tobytes() == expected.tobytes()
+
 
 class TestSharedStandardization:
     def test_norms_of_one_standardized_x_equal_separate_layer_norms_bit_for_bit(self):

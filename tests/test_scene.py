@@ -284,6 +284,25 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="version"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_header_version_that_only_equals_1_is_a_format_error(self, tmp_path, version):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text('{"format":"mnm-scenes","version":' + version + '}\n')
+        with pytest.raises(FormatError, match="line 1: unsupported version"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_record_version_that_only_equals_1_is_a_format_error(self, tmp_path, version):
+        scenes = generate_dataset(GeneratorConfig(seed=20), 2)
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(scenes, path)
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith('{"version":1,')
+        lines[2] = '{"version":' + version + lines[2][len('{"version":1'):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 3: record version"):
+            read_dataset(path)
+
     def test_wrong_format_is_a_format_error(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         path.write_text('{"format":"something-else","version":1}\n')

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from golfer import training
 from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
-from golfer.numerics import EmptySetError, Tape
+from golfer.numerics import EmptySetError, Parameter, Tape
 from golfer.scene import (
     GeneratorConfig,
     apply_goal_masking,
@@ -20,16 +20,21 @@ from golfer.training import (
     AdamState,
     TrainConfig,
     TrainingError,
-    classification_loss,
-    gmm_nll,
     optimizer_step,
     select_winner,
-    total_loss,
     total_loss_nodes,
     train,
 )
 
-from oracles import ref_adam_step, ref_cross_entropy, ref_gaussian_nll, ref_winner
+from oracles import (
+    classification_loss,
+    gmm_nll,
+    ref_adam_step,
+    ref_cross_entropy,
+    ref_gaussian_nll,
+    ref_winner,
+    total_loss,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_6 = math.log(6.0)
@@ -323,6 +328,109 @@ class TestOptimizer:
             assert state.step_count == 1
 
 
+class _FlatParams:
+    """An arena of one tensor, standing in for ModelParams in optimizer_step."""
+
+    def __init__(self, values):
+        self.values, self.grads = values, np.zeros_like(values)
+
+    def named_parameters(self):
+        yield "arena", Parameter(self.values, self.grads)
+
+
+def _train_samples(params, state, scenes, seed):
+    """Forward, loss, backward and one optimizer step per scene."""
+    rng = _rng(seed)
+    for scene in scenes:
+        gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
+        tape = Tape()
+        pred = forward_nodes(tape, scene, gc, params)
+        total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask,
+                                    gc.exclusion_index, 1.0)
+        tape.backward(total)
+        optimizer_step(params, state)
+
+
+BLOCK = training.ADAM_BLOCK
+
+
+class TestUntouchedBlocks:
+    """Adam skips the arena blocks that have never held a non-zero gradient."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.one_of(st.integers(1, 4).map(lambda n: n * BLOCK), st.integers(1, 5 * BLOCK)),
+           steps=st.integers(2, 5),
+           specials=st.lists(st.sampled_from([-0.0, 5e-324, -5e-324, 1e-170]), min_size=1,
+                             max_size=8))
+    def test_skipping_step_matches_per_tensor_adam_bitwise(self, seed, size, steps, specials):
+        """Blocks wake at random steps, zero stretches are aligned and
+        unaligned to blocks, and -0.0, subnormal gradients and gradients whose
+        square is 0 land anywhere, in sleeping blocks too. The touched blocks
+        are exactly those that have held a non-zero."""
+        rng = _rng(seed)
+        blocks = -(-size // BLOCK)
+        wake = rng.integers(1, steps + 2, size=blocks)  # steps + 1: never wakes
+        params = _FlatParams(rng.normal(size=size))
+        config = TrainConfig(lr=3e-3)
+        state = AdamState.create(size, config)
+        values, m, v = {"arena": params.values.copy()}, {"arena": np.zeros(size)}, {"arena": np.zeros(size)}
+        held = np.zeros(blocks, dtype=bool)
+        for t in range(1, steps + 1):
+            grads = rng.normal(size=size) * 10.0 ** int(rng.integers(-8, 3))
+            grads[np.repeat(wake > t, BLOCK)[:size]] = 0.0
+            for _ in range(int(rng.integers(0, 3))):
+                lo = int(rng.integers(0, size))
+                grads[lo:lo + int(rng.integers(1, 2 * BLOCK))] = 0.0
+            grads[rng.integers(0, size, len(specials))] = specials
+            params.grads[...] = grads
+            held |= np.logical_or.reduceat(grads != 0.0, np.arange(0, size, BLOCK))
+            ref_adam_step(values, {"arena": grads}, m, v, t, config.lr, config.beta1,
+                          config.beta2, config.epsilon)
+            optimizer_step(params, state)
+            assert not params.grads.any()
+            for name, ours, ref in (("values", params.values, values), ("m", state.m, m),
+                                    ("v", state.v, v)):
+                assert ours.tobytes() == ref["arena"].tobytes(), (name, t)
+            assert (state.touched == held).all()
+
+    def test_non_finite_grad_in_a_never_touched_block_raises_before_any_change(self):
+        params = init_model_params(TINY_MODEL)
+        state = AdamState.create(params.values.size, TrainConfig())
+        params.grads[:BLOCK] = 0.5
+        optimizer_step(params, state)
+        last = dict(params.named_parameters())["cls.1.b"]
+        assert not state.touched[_arena_offset(params, last) // BLOCK]
+        for non_finite in (np.inf, -np.inf, np.nan):
+            params.grads[:BLOCK] = 0.25
+            last.grad[0] = non_finite
+            arrays = (params.values, params.grads, state.m, state.v, state.touched)
+            before = [a.copy() for a in arrays]
+            with pytest.raises(TrainingError, match=r"'cls\.1\.b'"):
+                optimizer_step(params, state)
+            for now, then in zip(arrays, before):
+                assert now.tobytes() == then.tobytes()
+            assert state.step_count == 1
+
+    def test_unread_last_interaction_weights_keep_their_start(self):
+        """The last block of each interaction stack updates only its query, so
+        its token FFN (norm_ffn, w1, w2) never gets a gradient: its values and
+        moments stay as they started, and the blocks inside it are skipped."""
+        params, initial = _default_params()
+        params.values[...] = initial
+        state = AdamState.create(params.values.size, TrainConfig())
+        _train_samples(params, state, _sample_scenes(GolferConfig(), 4), seed=11)
+        assert state.step_count == 4
+        for stack in (params.road_interact, params.agent_interact):
+            block = stack[-1]
+            lo = _arena_offset(params, block.norm_ffn_gamma)
+            hi = _arena_offset(params, block.w2) + block.w2.value.size
+            assert hi - lo == 2 * GolferConfig().d + 2 * block.w1.value.size
+            assert params.values[lo:hi].tobytes() == initial[lo:hi].tobytes()
+            assert state.m[lo:hi].tobytes() == state.v[lo:hi].tobytes() == bytes(8 * (hi - lo))
+            assert not state.touched[-(-lo // BLOCK):hi // BLOCK].any()
+
+
 class TestTrainLoop:
     def test_trace_is_finite_and_consistent(self):
         scenes = generate_dataset(GeneratorConfig(seed=21), 4)
@@ -451,6 +559,25 @@ class TestPinnedBytes:
         params, trace = train(_sample_scenes(config, 8), config, TrainConfig(epochs=2, seed=4))
         losses = [(r.regression_nll, r.classification_ce, r.total) for r in trace]
         assert _digest([params.values, np.array(losses)]) == digest
+
+
+    def test_training_sample_gradients_are_pinned(self):
+        """The arena gradients of default-config training samples: a backward
+        that forms a product another way must give the same bytes."""
+        config = GolferConfig()
+        params = init_model_params(config)
+        rng = _rng(5)
+        grads = []
+        for scene in _sample_scenes(config, 3):
+            gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
+            tape = Tape()
+            pred = forward_nodes(tape, scene, gc, params)
+            total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask,
+                                        gc.exclusion_index, 1.0)
+            tape.backward(total)
+            grads.append(params.grads.copy())
+            params.zero_grads()
+        assert _digest(grads) == "ad681c7632f2434004eaa1f4af24a88b9d6dda1a3184c6b5b8e6b73461c48f73"
 
 
 @pytest.mark.parametrize("config", [GolferConfig(), GRADCHECK_TINY, DEEP_PROJ],
