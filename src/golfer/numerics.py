@@ -476,23 +476,21 @@ def take_rows(x: Node, index) -> Node:
 
         def backward(g):
             x.grad[index] += g
+    else:
+        plan = index if isinstance(index, Segments) else None
+        ids = plan.ids if plan is not None else np.asarray(index, dtype=np.intp)
+        out = Node(x.value[ids], x.tape)
 
-        x.tape.record(out, backward)
-        return out
-    plan = index if isinstance(index, Segments) else None
-    ids = plan.ids if plan is not None else np.asarray(index, dtype=np.intp)
-    out = Node(x.value[ids], x.tape)
-
-    def backward(g):
-        grad = x.grad
-        ranks = np.arange(1, ids.size + 1) - plan.starts[ids] if plan is not None else _ranks(ids)
-        layout = np.full((ranks.max() + 1, *grad.shape), -0.0)
-        layout[0] = grad
-        layout[ranks, ids] = g
-        if grad.size == 1:
-            grad[...] = np.add.accumulate(layout.reshape(-1))[-1]
-        else:
-            np.add.reduce(layout, axis=0, out=grad, initial=-0.0)
+        def backward(g):
+            grad = x.grad
+            ranks = np.arange(1, ids.size + 1) - plan.starts[ids] if plan is not None else _ranks(ids)
+            layout = np.full((ranks.max() + 1, *grad.shape), -0.0)
+            layout[0] = grad
+            layout[ranks, ids] = g
+            if grad.size == 1:
+                grad[...] = np.add.accumulate(layout.reshape(-1))[-1]
+            else:
+                np.add.reduce(layout, axis=0, out=grad, initial=-0.0)
 
     x.tape.record(out, backward)
     return out

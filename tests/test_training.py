@@ -338,19 +338,6 @@ class _FlatParams:
         yield "arena", Parameter(self.values, self.grads)
 
 
-def _train_samples(params, state, scenes, seed):
-    """Forward, loss, backward and one optimizer step per scene."""
-    rng = _rng(seed)
-    for scene in scenes:
-        gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
-        tape = Tape()
-        pred = forward_nodes(tape, scene, gc, params)
-        total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask,
-                                    gc.exclusion_index, 1.0)
-        tape.backward(total)
-        optimizer_step(params, state)
-
-
 BLOCK = training.ADAM_BLOCK
 
 
@@ -374,7 +361,8 @@ class TestUntouchedBlocks:
         params = _FlatParams(rng.normal(size=size))
         config = TrainConfig(lr=3e-3)
         state = AdamState.create(size, config)
-        values, m, v = {"arena": params.values.copy()}, {"arena": np.zeros(size)}, {"arena": np.zeros(size)}
+        values = {"arena": params.values.copy()}
+        m, v = {"arena": np.zeros(size)}, {"arena": np.zeros(size)}
         held = np.zeros(blocks, dtype=bool)
         for t in range(1, steps + 1):
             grads = rng.normal(size=size) * 10.0 ** int(rng.integers(-8, 3))
@@ -419,7 +407,15 @@ class TestUntouchedBlocks:
         params, initial = _default_params()
         params.values[...] = initial
         state = AdamState.create(params.values.size, TrainConfig())
-        _train_samples(params, state, _sample_scenes(GolferConfig(), 4), seed=11)
+        rng = _rng(11)
+        for scene in _sample_scenes(GolferConfig(), 4):
+            gc = apply_goal_masking(scene.future, rng, 0.85, scene.future_mask)
+            tape = Tape()
+            pred = forward_nodes(tape, scene, gc, params)
+            total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask,
+                                        gc.exclusion_index, 1.0)
+            tape.backward(total)
+            optimizer_step(params, state)
         assert state.step_count == 4
         for stack in (params.road_interact, params.agent_interact):
             block = stack[-1]
@@ -559,7 +555,6 @@ class TestPinnedBytes:
         params, trace = train(_sample_scenes(config, 8), config, TrainConfig(epochs=2, seed=4))
         losses = [(r.regression_nll, r.classification_ce, r.total) for r in trace]
         assert _digest([params.values, np.array(losses)]) == digest
-
 
     def test_training_sample_gradients_are_pinned(self):
         """The arena gradients of default-config training samples: a backward
