@@ -8,13 +8,15 @@ self-attention and Match to the attention matmul, the basic block is exactly
 a pre-norm transformer encoder layer; with max pooling and concatenation it
 is a far cheaper mixer with the same interface.
 
-Heads are a leading array axis. A block splits its channels into H
-contiguous groups, reshaping (n,d) tokens and their (n,d) aggregate rows to
-(H,n,dh). Its per-head Match and attention weights are stored stacked, one
-(H,...) tensor each, so Mix and Match run once over all heads as batched ops,
-and the result is merged back to (n,d) before the residual add. Feed-forward
-layers stay full-width. The coordinate-wise max makes per-group pooling
-identical to full-width pooling, so max-pool Mix runs before the split.
+Heads are a leading array axis. A stage with per-head weights (attention,
+a concat Match, a product Match with its projection) splits the channels
+into H contiguous groups, reshaping (n,d) tokens and their (n,d) aggregate
+rows to (H,n,dh). Its per-head weights are stored stacked, one (H,...)
+tensor each, so it runs once over all heads as batched ops, and the result
+is merged back to (n,d) before the residual add. A product Match without a
+projection is elementwise, so it runs at full width with no split, as do
+the feed-forward layers. The coordinate-wise max makes per-group pooling
+identical to full-width pooling, so max-pool Mix runs before any split.
 
 The query-conditioned block runs E token sets at once, packed as the rows of
 one (N,d) matrix with one query per set; the rows' set ids arrive as one
@@ -237,10 +239,15 @@ def _watch_heads(tape: Tape, per_head: Parameter | None) -> Node | None:
     return tape.watch(per_head) if per_head is not None else None
 
 
-def _match_heads(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
-    """Match the per-head aggregate c onto the (n,d) tokens x, heads merged back."""
-    x_heads = _split_heads(x, params.heads)
-    return _merge_heads(match(params.match, c, x_heads, _watch_heads(tape, params.wm)))
+def _match_rows(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
+    """Match the (n,d) aggregate rows c onto the (n,d) tokens x. Heads are
+    split only for a Match with per-head weights: a product without them is
+    elementwise, so it runs at full width."""
+    if params.wm is None:
+        return match(params.match, c, x)
+    heads = params.heads
+    return _merge_heads(match(params.match, _split_heads(c, heads), _split_heads(x, heads),
+                              tape.watch(params.wm)))
 
 
 def _ffn(tape: Tape, params: MnMBlockParams, z: Node, w_first: Parameter, w_second: Parameter) -> Node:
@@ -253,12 +260,14 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     xn = nm.layer_norm(x, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                        LAYER_NORM_EPS)
     if params.mix is MixKind.ATTENTION:
-        c = mix(params.mix, _split_heads(xn, params.heads), mask,
-                _watch_heads(tape, params.wq), _watch_heads(tape, params.wk))
+        attn = mix(params.mix, _split_heads(xn, params.heads), mask,
+                   _watch_heads(tape, params.wq), _watch_heads(tape, params.wk))
+        matched = _merge_heads(match(params.match, attn, _split_heads(x, params.heads)))
     else:
         pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))
-        c = _split_heads(nm.take_rows(pooled, np.zeros(x.value.shape[0], dtype=int)), params.heads)
-    s = nm.add(_match_heads(tape, params, c, x), x)
+        rows = nm.take_rows(pooled, np.zeros(x.value.shape[0], dtype=int))
+        matched = _match_rows(tape, params, rows, x)
+    s = nm.add(matched, x)
     sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),
                        LAYER_NORM_EPS)
     return nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
@@ -285,8 +294,7 @@ def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments, params: MnMBl
         raise ValueError("block was not initialized as a query-variant block")
     if c.value.shape != (segments.count, params.d):
         raise DimensionError(f"queries {c.value.shape}, expected ({segments.count},{params.d})")
-    rows = _split_heads(nm.take_rows(c, segments), params.heads)
-    s = nm.add(_match_heads(tape, params, rows, x), x)
+    s = nm.add(_match_rows(tape, params, nm.take_rows(c, segments), x), x)
     s_std = nm.Standardized(s, LAYER_NORM_EPS)
     s_mix = nm.affine_norm(s_std, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta))
     c_mix = nm.segment_max(s_mix, segments)

@@ -5,14 +5,16 @@ element's point tokens into a single latent vector, the ego latent then
 interacts with the road latents and with the agent latents through
 product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
 encoding. The FE stack runs once per scene, over the valid token rows of all
-its elements packed into one matrix with each row's element id as its
-segment id; those ids are checked once per forward, as one segment plan that
-every FE block reuses. Each interaction stack returns only its ego query, so
-its last block updates that query and skips its token update. The decoder
-maps that encoding through independent MLP branches to K trajectory modes
-(per-step diagonal Gaussians) plus mode logits. The K branches are
-identically shaped, so they run as one MLP with the mode as a leading array
-axis. Each per-kind, per-head and per-mode weight family is
+its elements packed into one matrix. Each scene packs its valid elements
+once, on first use (`Scene.pack`: token rows, kinds, counts, contexts and
+the road/agent split), and is read-only from then on; a forward only splices
+the goal's rows in at its placement and builds one segment plan from the
+counts, which every FE block reuses. Each interaction stack returns only
+its ego query, so its last block updates that query and skips its token
+update. The decoder maps that encoding through independent MLP branches to
+K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
+branches are identically shaped, so they run as one MLP with the mode as a
+leading array axis. Each per-kind, per-head and per-mode weight family is
 stored as one stacked tensor; `named_parameters` yields its slices as views.
 Every family is in turn a view of one flat value buffer and one flat grad
 buffer, so the optimizer and the grad reset act on the whole model at once.
@@ -30,27 +32,12 @@ import numpy as np
 
 from . import numerics as nm
 from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
-from .numerics import EmptySetError, Node, Parameter, Tape
-from .scene import (
-    CTX_DIM,
-    KIND_AGENT,
-    KIND_EGO,
-    KIND_GOAL,
-    KIND_ROAD,
-    PLACE_AGENTS,
-    PLACE_ROADS,
-    TOKEN_DIM,
-    GoalConditioning,
-    Scene,
-    SceneElement,
-    encode_goal_element,
-)
+from .numerics import Node, Parameter, Tape
+from .scene import CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, ElementPack, GoalConditioning, Scene
 
 MODEL_MAGIC = b"MNMG"
 MODEL_VERSION = 1
 LOG_SIGMA_CLAMP = 5.0
-
-_ELEMENT_KINDS = (KIND_ROAD, KIND_AGENT, KIND_EGO, KIND_GOAL)
 
 
 class ModelFormatError(ValueError):
@@ -163,7 +150,7 @@ class ModelParams:
     config: GolferConfig
     values: np.ndarray
     grads: np.ndarray
-    # Per-kind projections in `_ELEMENT_KINDS` order: (4,in,d) weights, (4,d) biases.
+    # Per-kind projections in `scene.ELEMENT_KINDS` order: (4,in,d) weights, (4,d) biases.
     token_w: Parameter
     token_b: Parameter
     ctx_w: Parameter
@@ -178,7 +165,7 @@ class ModelParams:
     cls_branch: _Mlp
 
     def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
-        for k, kind in enumerate(_ELEMENT_KINDS):
+        for k, kind in enumerate(ELEMENT_KINDS):
             yield f"proj.{kind}.token.w", self.token_w[k]
             yield f"proj.{kind}.token.b", self.token_b[k]
             yield f"proj.{kind}.ctx.w", self.ctx_w[k]
@@ -211,7 +198,7 @@ class ModelParams:
 def _declare_params(config: GolferConfig) -> ModelParams:
     """The model's weight families in one allocated arena, every value zero."""
     arena = nm.Arena()
-    d, kinds = config.d, len(_ELEMENT_KINDS)
+    d, kinds = config.d, len(ELEMENT_KINDS)
 
     def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False):
         return [declare_mnm_block(arena, d=d, heads=config.heads, d_ff=config.d_ff,
@@ -250,7 +237,7 @@ def init_model_params(config: GolferConfig) -> ModelParams:
     params = _declare_params(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d = config.d
-    for k in range(len(_ELEMENT_KINDS)):  # kind by kind, token weight before context weight
+    for k in range(len(ELEMENT_KINDS)):  # kind by kind, token weight before context weight
         params.token_w.value[k] = nm.uniform_init(rng, (config.token_dim, d), config.token_dim)
         params.ctx_w.value[k] = nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)
     for block in params.fe_blocks:
@@ -291,27 +278,21 @@ def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
     """Each feature row's own kind's affine map, as one matmul: the row sits in
     its kind's slot of a (rows, 4*width) matrix, against all kinds' (4,width,d)
     weights w; b holds the (4,d) biases."""
-    wide = np.zeros((len(kinds), len(_ELEMENT_KINDS), features.shape[1]))
+    wide = np.zeros((len(kinds), len(ELEMENT_KINDS), features.shape[1]))
     wide[np.arange(len(kinds)), kinds] = features
     w_rows = nm.reshape(tape.watch(w), (wide[0].size, w.value.shape[2]))
     return nm.add(nm.matmul(tape.constant(wide.reshape(len(kinds), -1)), w_rows),
                   nm.take_rows(tape.watch(b), kinds))
 
 
-def encode_element(tape: Tape, elements: list[SceneElement], params: ModelParams) -> Node:
-    """Encode E elements in one FE pass over their packed valid token rows
-    (invalid rows are dropped, not padded) -> (E,d) latents. The rows'
-    element ids form one segment plan, shared by every FE block and the
-    final pooling."""
-    counts = [e.num_valid for e in elements]
-    if not elements or 0 in counts:
-        raise EmptySetError("cannot encode an element with no valid tokens")
-    segments = nm.Segments(np.repeat(np.arange(len(elements)), counts), len(elements))
-    kinds = np.array([_ELEMENT_KINDS.index(e.kind) for e in elements])
-    tokens = _kind_rows(tape, params.token_w, params.token_b, kinds[segments.ids],
-                        np.concatenate([e.tokens[e.mask] for e in elements]))
-    context = _kind_rows(tape, params.ctx_w, params.ctx_b, kinds,
-                         np.stack([e.context for e in elements]))
+def encode_element(tape: Tape, pack: ElementPack, params: ModelParams) -> Node:
+    """Encode a pack's E elements in one FE pass over their valid token rows
+    (invalid rows are dropped, not padded) -> (E,d) latents. The pack's
+    counts form one segment plan, shared by every FE block and the final
+    pooling."""
+    segments = nm.Segments.from_counts(pack.counts)
+    tokens = _kind_rows(tape, params.token_w, params.token_b, pack.row_kinds, pack.tokens)
+    context = _kind_rows(tape, params.ctx_w, params.ctx_b, pack.kinds, pack.contexts)
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, segments, block)
     return nm.maximum(nm.segment_max(tokens, segments), context)
@@ -321,7 +302,7 @@ def interact(tape: Tape, ego_latent: Node, latents: Node, blocks: list[MnMBlockP
     """Ego-conditioned set interaction: the (n,d) latents are one segment
     whose query is the (1,d) ego latent; returns the final (1,d) query. Only
     the query leaves the stack, so its last block updates the query alone."""
-    segments = nm.Segments(np.zeros(latents.value.shape[0], dtype=int), 1)
+    segments = nm.Segments.from_counts([latents.value.shape[0]])
     context = ego_latent
     for depth, block in enumerate(blocks, start=1):
         latents, context = mnm_query(tape, latents, context, segments, block,
@@ -329,20 +310,14 @@ def interact(tape: Tape, ego_latent: Node, latents: Node, blocks: list[MnMBlockP
     return context
 
 
-def encode_scene(
-    tape: Tape,
-    scene: Scene,
-    params: ModelParams,
-    goal: SceneElement | None = None,
-    placement: str = PLACE_AGENTS,
-) -> Node:
+def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
+                 gc: GoalConditioning | None = None) -> Node:
     """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent.
-    f_E and the set latents are rows of one `encode_element` call."""
-    roads, agents = list(scene.roads), list(scene.agents)
-    if goal is not None:
-        (roads if placement == PLACE_ROADS else agents).append(goal)
-    roads, agents = ([e for e in group if e.mask.any()] for group in (roads, agents))
-    latents = encode_element(tape, [scene.ego, *roads, *agents], params)
+    f_E and the set latents are rows of one `encode_element` call over the
+    scene's pack, with the goal's rows spliced in at its placement."""
+    pack = scene.pack if gc is None else scene.pack.with_goal(gc)
+    latents = encode_element(tape, pack, params)
+    roads, agents = pack.num_roads, pack.num_agents
 
     def set_latents(start: int, count: int, null: Parameter) -> Node:
         if count == 0:
@@ -350,8 +325,8 @@ def encode_scene(
         return nm.take_rows(latents, slice(start, start + count))
 
     f_ego = nm.take_rows(latents, slice(0, 1))
-    f_road = interact(tape, f_ego, set_latents(1, len(roads), params.null_road), params.road_interact)
-    f_agent = interact(tape, f_ego, set_latents(1 + len(roads), len(agents), params.null_agent),
+    f_road = interact(tape, f_ego, set_latents(1, roads, params.null_road), params.road_interact)
+    f_agent = interact(tape, f_ego, set_latents(1 + roads, agents, params.null_agent),
                        params.agent_interact)
     fused_in = nm.concat_last(nm.concat_last(f_ego, f_road), f_agent)
     return _run_mlp(_watched_layers(tape, params.fusion), nm.reshape(fused_in, (-1,)),
@@ -377,10 +352,10 @@ def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:
 def forward_nodes(
     tape: Tape, scene: Scene, gc: GoalConditioning | None, params: ModelParams
 ) -> PredictionNodes:
-    goal = encode_goal_element(gc) if gc is not None else None
-    placement = gc.placement if gc is not None else PLACE_AGENTS
-    f_enc = encode_scene(tape, scene, params, goal=goal, placement=placement)
-    return decode(tape, f_enc, params)
+    if gc is not None and gc.horizon != params.config.horizon:
+        raise ValueError(f"goal horizon {gc.horizon} does not match the model's horizon "
+                         f"{params.config.horizon}")
+    return decode(tape, encode_scene(tape, scene, params, gc), params)
 
 
 def forward(scene: Scene, gc: GoalConditioning | None, params: ModelParams) -> Prediction:

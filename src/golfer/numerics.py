@@ -444,6 +444,21 @@ class Segments:
                                  f"each over at least one row")
         self.ids, self.count, self.starts = ids, count, starts
 
+    @classmethod
+    def from_counts(cls, counts) -> Segments:
+        """The plan of consecutive segments of counts[i] rows each. Ids built
+        from counts are in order and gapless by construction, so only that
+        each count is at least 1 is checked."""
+        counts = np.asarray(counts, dtype=np.intp)
+        if counts.ndim != 1 or counts.size == 0 or np.minimum.reduce(counts) < 1:
+            raise DimensionError(f"segment counts must each be at least 1, got {counts}")
+        plan = cls.__new__(cls)
+        plan.count = counts.size
+        plan.ids = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+        plan.starts = np.zeros(counts.size, dtype=np.intp)
+        np.cumsum(counts[:-1], out=plan.starts[1:])
+        return plan
+
 
 def _ranks(ids: np.ndarray) -> np.ndarray:
     """Each id's 1-based rank among the equal ids before it and itself, found

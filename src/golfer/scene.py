@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .numerics import EmptySetError
 
 TOKEN_DIM = 8
 CTX_DIM = 8
@@ -28,7 +31,9 @@ KIND_ROAD = "road"
 KIND_AGENT = "agent"
 KIND_EGO = "ego"
 KIND_GOAL = "goal"
-_KIND_TAG = {KIND_ROAD: 0, KIND_AGENT: 1, KIND_EGO: 2, KIND_GOAL: 3}
+# A kind's index is its context tag and its slot in the model's per-kind weights.
+ELEMENT_KINDS = (KIND_ROAD, KIND_AGENT, KIND_EGO, KIND_GOAL)
+_KIND_TAG = {kind: index for index, kind in enumerate(ELEMENT_KINDS)}
 
 PLACE_AGENTS = "agents"
 PLACE_ROADS = "roads"
@@ -72,6 +77,60 @@ class SceneElement:
         return int(self.mask.sum())
 
 
+@dataclass(frozen=True)
+class ElementPack:
+    """Elements' valid token rows packed in element order, as the FE stack
+    reads them; an element's kind is its index in ELEMENT_KINDS.
+
+    A scene's pack holds its ego, then its roads, then its agents, and
+    `num_roads` splits the roads from the agents."""
+
+    tokens: np.ndarray  # (N, TOKEN_DIM) valid rows, element after element
+    row_kinds: np.ndarray  # (N,) each row's element kind
+    kinds: np.ndarray  # (E,)
+    counts: np.ndarray  # (E,) valid rows per element, each >= 1
+    contexts: np.ndarray  # (E, CTX_DIM)
+    num_roads: int = 0
+
+    @property
+    def num_agents(self) -> int:
+        return self.kinds.size - 1 - self.num_roads
+
+    def with_goal(self, gc: GoalConditioning) -> ElementPack:
+        """This scene pack with the goal's rows spliced in as its last road
+        (roads placement) or its last agent."""
+        on_roads = gc.placement == PLACE_ROADS
+        at = 1 + self.num_roads if on_roads else self.kinds.size
+        row = int(self.counts[:at].sum())
+        rows = goal_tokens(gc)
+        kind = _KIND_TAG[KIND_GOAL]
+
+        def splice(a, b, index):
+            return np.concatenate((a[:index], b, a[index:]))
+
+        return ElementPack(tokens=splice(self.tokens, rows, row),
+                           row_kinds=splice(self.row_kinds, np.full(len(rows), kind), row),
+                           kinds=splice(self.kinds, (kind,), at),
+                           counts=splice(self.counts, (len(rows),), at),
+                           contexts=splice(self.contexts, _GOAL_CONTEXT[None], at),
+                           num_roads=self.num_roads + on_roads)
+
+
+def pack_elements(elements: list[SceneElement], num_roads: int = 0) -> ElementPack:
+    """Pack each element's valid token rows, in order; an element with no
+    valid row cannot be encoded."""
+    counts = np.array([e.num_valid for e in elements], dtype=np.intp)
+    if counts.size == 0 or not counts.all():
+        raise EmptySetError("cannot encode an element with no valid tokens")
+    kinds = np.array([_KIND_TAG[e.kind] for e in elements], dtype=np.intp)
+    pack = ElementPack(tokens=np.concatenate([e.tokens[e.mask] for e in elements]),
+                       row_kinds=np.repeat(kinds, counts), kinds=kinds, counts=counts,
+                       contexts=np.stack([e.context for e in elements]), num_roads=num_roads)
+    for array in (pack.tokens, pack.row_kinds, kinds, counts, pack.contexts):
+        array.flags.writeable = False
+    return pack
+
+
 @dataclass
 class Scene:
     ego: SceneElement
@@ -89,10 +148,25 @@ class Scene:
             raise ValueError("future_mask length mismatch")
         if not np.isfinite(self.future).all():
             raise ValueError("future must be finite")
+        if not self.ego.mask.any():
+            raise ValueError("ego has no valid point")
 
     @property
     def horizon(self) -> int:
         return self.future.shape[0]
+
+    @cached_property
+    def pack(self) -> ElementPack:
+        """The ego and the roads and agents with a valid point, packed on first
+        use and kept. Every element's arrays are read-only from then on, so a
+        write raises instead of leaving the pack stale; `future` and
+        `future_mask` are not packed and stay writable."""
+        for e in (self.ego, *self.roads, *self.agents):
+            for array in (e.tokens, e.mask, e.context):
+                array.flags.writeable = False
+        roads = [e for e in self.roads if e.mask.any()]
+        agents = [e for e in self.agents if e.mask.any()]
+        return pack_elements([self.ego, *roads, *agents], num_roads=len(roads))
 
 
 @dataclass
@@ -107,6 +181,13 @@ class GoalConditioning:
     def __post_init__(self):
         self.masked_future = np.asarray(self.masked_future, dtype=np.float64)
         self.step_mask = np.asarray(self.step_mask, dtype=bool)
+        shape = self.masked_future.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != 2:
+            raise ValueError(f"masked_future must be (T,2) with T >= 1, got {shape}")
+        if not np.isfinite(self.masked_future).all():
+            raise ValueError("masked_future must be finite")
+        if self.step_mask.shape != (shape[0],):
+            raise ValueError(f"step_mask must be ({shape[0]},), got {self.step_mask.shape}")
         visible = np.flatnonzero(self.step_mask)
         if len(visible) > 1:
             raise ValueError("at most one step may be unmasked")
@@ -117,6 +198,10 @@ class GoalConditioning:
             raise ValueError(
                 f"exclusion_index {self.exclusion_index} inconsistent with step_mask (expected {expected})"
             )
+
+    @property
+    def horizon(self) -> int:
+        return self.masked_future.shape[0]
 
 
 def apply_goal_masking(future: np.ndarray, rng: np.random.Generator, mask_ratio: float,
@@ -162,17 +247,26 @@ def prediction_conditioning(horizon: int) -> GoalConditioning:
     )
 
 
-def encode_goal_element(gc: GoalConditioning) -> SceneElement:
-    """Turn goal conditioning into a scene element: one token per future step,
-    carrying (x, y, visible_flag, step_index/T)."""
-    t_steps = gc.masked_future.shape[0]
+def goal_tokens(gc: GoalConditioning) -> np.ndarray:
+    """The goal's (T, TOKEN_DIM) tokens, one per future step, carrying
+    (x, y, visible_flag, step_index/T); every one is valid."""
+    t_steps = gc.horizon
     tokens = np.zeros((t_steps, TOKEN_DIM))
     tokens[:, 0:2] = gc.masked_future
-    tokens[:, 2] = gc.step_mask.astype(np.float64)
+    tokens[:, 2] = gc.step_mask
     tokens[:, 3] = np.where(gc.step_mask, np.arange(t_steps) / t_steps, 0.0)
-    context = np.zeros(CTX_DIM)
-    context[_KIND_TAG[KIND_GOAL]] = 1.0
-    return SceneElement(kind=KIND_GOAL, tokens=tokens, mask=np.ones(t_steps, dtype=bool), context=context)
+    return tokens
+
+
+_GOAL_CONTEXT = np.zeros(CTX_DIM)
+_GOAL_CONTEXT[_KIND_TAG[KIND_GOAL]] = 1.0
+_GOAL_CONTEXT.flags.writeable = False
+
+
+def encode_goal_element(gc: GoalConditioning) -> SceneElement:
+    """Goal conditioning as a scene element of `goal_tokens`."""
+    return SceneElement(kind=KIND_GOAL, tokens=goal_tokens(gc), mask=np.ones(gc.horizon, dtype=bool),
+                        context=_GOAL_CONTEXT.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -180,14 +180,39 @@ def ref_interact(blocks, ego, latents):
     return c
 
 
-def ref_encode_scene(params, scene, goal=None, placement="agents"):
-    w = named_values(params)
+def ref_scene_sets(scene, goal=None, placement="agents"):
+    """The road and agent elements a scene's encoding reads: each set's
+    elements with a valid point, the goal appended to the set it is placed in."""
     roads = list(scene.roads)
     agents = list(scene.agents)
     if goal is not None:
         (roads if placement == "roads" else agents).append(goal)
-    roads = [e for e in roads if e.mask.any()]
-    agents = [e for e in agents if e.mask.any()]
+    return [e for e in roads if e.mask.any()], [e for e in agents if e.mask.any()]
+
+
+def ref_pack_elements(elements):
+    """Elements packed one by one: valid token rows, each row's kind index,
+    each element's kind index, valid-row count and context, and each row's
+    element id and each element's first row."""
+    kind_order = ("road", "agent", "ego", "goal")
+    packed = {name: [] for name in ("tokens", "row_kinds", "kinds", "counts", "contexts",
+                                    "ids", "starts")}
+    for index, e in enumerate(elements):
+        kind = kind_order.index(e.kind)
+        rows = [e.tokens[i] for i in range(len(e.mask)) if e.mask[i]]
+        packed["starts"].append(len(packed["tokens"]))
+        packed["tokens"] += rows
+        packed["row_kinds"] += [kind] * len(rows)
+        packed["ids"] += [index] * len(rows)
+        packed["kinds"].append(kind)
+        packed["counts"].append(len(rows))
+        packed["contexts"].append(e.context)
+    return packed
+
+
+def ref_encode_scene(params, scene, goal=None, placement="agents"):
+    w = named_values(params)
+    roads, agents = ref_scene_sets(scene, goal, placement)
     f_ego = ref_encode_element(params, scene.ego)
     road_lat = (np.stack([ref_encode_element(params, e) for e in roads])
                 if roads else w["null.road"][None, :])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,9 @@ from golfer.scene import (
     Scene,
     SceneElement,
     apply_goal_masking,
+    encode_goal_element,
     generate_dataset,
+    pack_elements,
     prediction_conditioning,
 )
 from golfer.training import total_loss_nodes
@@ -48,6 +51,8 @@ from oracles import (
     ref_encode_scene,
     ref_layer_norm,
     ref_max_pool,
+    ref_pack_elements,
+    ref_scene_sets,
 )
 
 TINY = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3, horizon=4,
@@ -124,9 +129,9 @@ class TestEncodeElement:
             context=element.context,
         )
         tape = Tape()
-        base = encode_element(tape, [element], params).value
+        base = encode_element(tape, pack_elements([element]), params).value
         tape = Tape()
-        again = encode_element(tape, [dup], params).value
+        again = encode_element(tape, pack_elements([dup]), params).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -136,9 +141,9 @@ class TestEncodeElement:
         permuted = SceneElement(kind=element.kind, tokens=element.tokens[perm],
                                 mask=element.mask[perm], context=element.context)
         tape = Tape()
-        base = encode_element(tape, [element], params).value
+        base = encode_element(tape, pack_elements([element]), params).value
         tape = Tape()
-        again = encode_element(tape, [permuted], params).value
+        again = encode_element(tape, pack_elements([permuted]), params).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -146,7 +151,7 @@ class TestEncodeElement:
         for seed in range(5):
             element = _element(seed + 10, invalid=(1,))
             tape = Tape()
-            (out,) = encode_element(tape, [element], params).value
+            (out,) = encode_element(tape, pack_elements([element]), params).value
             np.testing.assert_allclose(out, ref_encode_element(params, element), atol=1e-12)
 
     def test_empty_element_is_an_error(self):
@@ -154,7 +159,7 @@ class TestEncodeElement:
         element = _element(7)
         element.mask[:] = False
         with pytest.raises(EmptySetError):
-            encode_element(Tape(), [element], params)
+            encode_element(Tape(), pack_elements([element]), params)
 
 
 class TestInteract:
@@ -209,14 +214,12 @@ class TestEncodeScene:
             np.testing.assert_allclose(out, ref_encode_scene(params, scene), atol=1e-12)
 
     def test_goal_placement_in_each_set(self):
-        from golfer.scene import apply_goal_masking, encode_goal_element
-
         params = init_model_params(TINY)
         scene = _scene(3)
         gc = apply_goal_masking(scene.future, _rng(11), 0.5, scene.future_mask)
         goal = encode_goal_element(gc)
-        on_agents = encode_scene(Tape(), scene, params, goal=goal, placement="agents").value
-        on_roads = encode_scene(Tape(), scene, params, goal=goal, placement="roads").value
+        on_agents = encode_scene(Tape(), scene, params, replace(gc, placement="agents")).value
+        on_roads = encode_scene(Tape(), scene, params, replace(gc, placement="roads")).value
         oracle_agents = ref_encode_scene(params, scene, goal=goal, placement="agents")
         oracle_roads = ref_encode_scene(params, scene, goal=goal, placement="roads")
         np.testing.assert_allclose(on_agents, oracle_agents, atol=1e-12)
@@ -314,8 +317,8 @@ class TestPackingInvariance:
         scene, pads, padded_scene, (road_perm, agent_perm) = case
         params = init_model_params(TINY)
         elements = [scene.ego, *scene.roads, *scene.agents]
-        latents = encode_element(Tape(), elements, params).value
-        assert (encode_element(Tape(), pads, params).value == latents).all()
+        latents = encode_element(Tape(), pack_elements(elements), params).value
+        assert (encode_element(Tape(), pack_elements(pads), params).value == latents).all()
 
         base = encode_scene(Tape(), scene, params).value
         assert (encode_scene(Tape(), padded_scene, params).value == base).all()
@@ -324,12 +327,108 @@ class TestPackingInvariance:
         agents = [scene.agents[i] for i in agent_perm]
         order = [0, *(1 + np.array(road_perm, dtype=int)),
                  *(1 + len(roads) + np.array(agent_perm, dtype=int))]
-        permuted = encode_element(Tape(), [scene.ego, *roads, *agents], params).value
+        permuted = encode_element(Tape(), pack_elements([scene.ego, *roads, *agents]), params).value
         np.testing.assert_allclose(permuted, latents[order], rtol=0, atol=1e-12)
         shuffled = Scene(ego=scene.ego, agents=agents, roads=roads, future=scene.future,
                          future_mask=scene.future_mask)
         np.testing.assert_allclose(encode_scene(Tape(), shuffled, params).value, base,
                                    rtol=0, atol=1e-12)
+
+
+@st.composite
+def _pack_cases(draw):
+    """A random scene whose road and agent sets may be empty or hold elements
+    with no valid point, and a goal that is absent or placed on either set."""
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+
+    def element(kind):
+        points = draw(st.integers(1, 5))
+        mask = rng.random(points) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        if kind == "ego":
+            mask[rng.integers(points)] = True
+        return SceneElement(kind=kind, tokens=rng.normal(size=(points, TOKEN_DIM)), mask=mask,
+                            context=rng.normal(size=CTX_DIM))
+
+    scene = Scene(ego=element("ego"), roads=[element("road") for _ in range(draw(st.integers(0, 4)))],
+                  agents=[element("agent") for _ in range(draw(st.integers(0, 3)))],
+                  future=rng.normal(size=(4, 2)), future_mask=np.ones(4, dtype=bool))
+    placement = draw(st.sampled_from([None, "agents", "roads"]))
+    if placement is None:
+        return scene, None
+    gc = apply_goal_masking(scene.future, rng, draw(st.floats(0.0, 1.0)), scene.future_mask)
+    return scene, replace(gc, placement=placement)
+
+
+class TestScenePack:
+    @settings(max_examples=60, deadline=None)
+    @given(_pack_cases())
+    def test_pack_matches_the_element_by_element_oracle(self, case):
+        scene, gc = case
+        goal = encode_goal_element(gc) if gc is not None else None
+        placement = gc.placement if gc is not None else "agents"
+        roads, agents = ref_scene_sets(scene, goal, placement)
+        ref = ref_pack_elements([scene.ego, *roads, *agents])
+        pack = scene.pack if gc is None else scene.pack.with_goal(gc)
+        expected = {"tokens": np.array(ref["tokens"]).reshape(-1, TOKEN_DIM),
+                    "row_kinds": np.array(ref["row_kinds"], dtype=np.intp),
+                    "kinds": np.array(ref["kinds"], dtype=np.intp),
+                    "counts": np.array(ref["counts"], dtype=np.intp),
+                    "contexts": np.stack(ref["contexts"])}
+        for name, want in expected.items():
+            got = getattr(pack, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert (pack.num_roads, pack.num_agents) == (len(roads), len(agents))
+        segments = nm.Segments.from_counts(pack.counts)
+        assert segments.ids.tolist() == ref["ids"] and segments.starts.tolist() == ref["starts"]
+
+        params = init_model_params(TINY)
+        spliced = encode_scene(Tape(), scene, params, gc).value
+        as_elements = Scene(ego=scene.ego, roads=roads, agents=agents, future=scene.future,
+                            future_mask=scene.future_mask)
+        assert (encode_scene(Tape(), as_elements, params).value == spliced).all()
+        np.testing.assert_allclose(spliced, ref_encode_scene(params, scene, goal, placement),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    def test_from_counts_is_the_checked_plan(self, counts):
+        plan = nm.Segments.from_counts(counts)
+        checked = nm.Segments(np.repeat(np.arange(len(counts)), counts), len(counts))
+        assert plan.count == checked.count
+        for name in ("ids", "starts"):
+            got, want = getattr(plan, name), getattr(checked, name)
+            assert got.dtype == want.dtype and (got == want).all(), name
+
+    @pytest.mark.parametrize("counts", [[0], [2, 0, 1], [3, -1], []])
+    def test_from_counts_rejects_an_empty_segment(self, counts):
+        with pytest.raises(nm.DimensionError):
+            nm.Segments.from_counts(counts)
+
+    def test_a_second_forward_reuses_the_pack(self):
+        from golfer import scene as scene_module
+
+        params = init_model_params(TINY)
+        scene = _scene(31)
+        gc = prediction_conditioning(4)
+        with mock.patch.object(scene_module, "pack_elements", wraps=pack_elements) as packing:
+            first = forward(scene, gc, params)
+            pack = scene.pack
+            second = forward(scene, replace(gc, placement="roads"), params)
+            third = forward(scene, gc, params)
+        assert packing.call_count == 1 and scene.pack is pack
+        assert (first.means == third.means).all() and (first.means != second.means).any()
+
+    def test_a_write_to_a_packed_element_raises(self):
+        scene = _scene(32)
+        scene.roads[0].tokens[0, 0] += 1.0  # writable until packed
+        forward(scene, prediction_conditioning(4), init_model_params(TINY))
+        for element in (scene.ego, scene.roads[1], scene.agents[0]):
+            for name in ("tokens", "mask", "context"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(element, name)[0] = 0
+        scene.future[0, 0] += 1.0
+        scene.future_mask[0] = False
 
 
 WIDE = GolferConfig(d=48, heads=4, fe_depth=1, interact_depth=1, k_modes=3, horizon=4,
@@ -417,6 +516,17 @@ class TestForward:
 
 
 INTERACT_PROJ = GolferConfig(heads=2, interact_proj=True, decoder_hidden=(32, 16))
+
+
+class TestGoalHorizon:
+    def test_a_goal_of_another_horizon_is_rejected(self):
+        config = GolferConfig(d=16, heads=2, k_modes=3, horizon=16, d_ff=32, decoder_hidden=(16,))
+        (scene,) = generate_dataset(GeneratorConfig(seed=33), 1)
+        params = init_model_params(config)
+        assert forward(scene, prediction_conditioning(16), params).means.shape == (3, 16, 2)
+        for steps in (8, 17):
+            with pytest.raises(ValueError, match=f"goal horizon {steps} .* model's horizon 16"):
+                forward(scene, prediction_conditioning(steps), params)
 
 
 class TestStackedLayout:

@@ -128,6 +128,22 @@ class TestGoalMasking:
             )
 
 
+    @pytest.mark.parametrize("field, masked_future, step_mask", [
+        ("masked_future", np.zeros((4, 3)), np.zeros(4, dtype=bool)),
+        ("masked_future", np.zeros(4), np.zeros(4, dtype=bool)),
+        ("masked_future", np.zeros((0, 2)), np.zeros(0, dtype=bool)),
+        ("masked_future", np.array([[0.0, 0.0], [np.nan, 0.0]]), np.zeros(2, dtype=bool)),
+        ("masked_future", np.array([[np.inf, 0.0], [0.0, 0.0]]), np.array([True, False])),
+        ("step_mask", np.zeros((4, 2)), np.zeros(3, dtype=bool)),
+        ("step_mask", np.zeros((4, 2)), np.zeros((4, 1), dtype=bool)),
+    ], ids=["three-columns", "flat", "no-steps", "nan", "inf-visible", "short-mask", "2d-mask"])
+    def test_conditioning_names_a_malformed_field(self, field, masked_future, step_mask):
+        visible = np.flatnonzero(step_mask)
+        with pytest.raises(ValueError, match=f"^{field}"):
+            GoalConditioning(masked_future=masked_future, step_mask=step_mask, placement="agents",
+                             exclusion_index=int(visible[0]) if visible.size == 1 else None)
+
+
 class TestGoalElement:
     def test_fully_masked_element_is_all_zero(self):
         gc = prediction_conditioning(16)
@@ -332,6 +348,18 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="finite"):
             Scene(ego=scenes[0].ego, agents=[], roads=[],
                   future=np.full((4, 2), np.inf), future_mask=np.ones(4, dtype=bool))
+
+
+    def test_ego_with_no_valid_point_names_the_line(self, tmp_path):
+        scenes = generate_dataset(GeneratorConfig(seed=22), 6)
+        scenes[3].ego.mask[:] = False
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(scenes, path)
+        with pytest.raises(ParseError, match="line 5.*ego has no valid point"):
+            read_dataset(path)
+        with pytest.raises(ValueError, match="ego has no valid point"):
+            Scene(ego=scenes[3].ego, agents=[], roads=scenes[0].roads,
+                  future=np.zeros((4, 2)), future_mask=np.ones(4, dtype=bool))
 
 
 def _assert_bitwise_equal(a, b, where):
