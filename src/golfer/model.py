@@ -7,9 +7,13 @@ product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
 encoding. The FE stack runs once per scene, over the valid token rows of all
 its elements packed into one matrix. Each scene packs its valid elements
 once, on first use (`Scene.pack`: token rows, kinds, counts, contexts and
-the road/agent split), and is read-only from then on; a forward only splices
-the goal's rows in at its placement and builds one segment plan from the
-counts, which every FE block reuses. Each interaction stack returns only
+the road/agent split), and is read-only from then on. The pack keeps one
+`GoalLayout` per goal placement and horizon, built on first use: the
+kinds, counts and contexts with the goal's spliced in, the FE segment plan
+that every FE block reuses and each interaction set's plan. A forward
+builds only what depends on the goal conditioning: the goal's token rows,
+one splice of them into the scene's, and the kind-slot matrices its token
+and context projections multiply. Each interaction stack returns only
 its ego query, so its last block updates that query and skips its token
 update. The decoder maps that encoding through independent MLP branches to
 K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
@@ -33,7 +37,7 @@ import numpy as np
 from . import numerics as nm
 from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
 from .numerics import Node, Parameter, Tape
-from .scene import CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, ElementPack, GoalConditioning, Scene
+from .scene import CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, GoalConditioning, GoalLayout, Scene
 
 MODEL_MAGIC = b"MNMG"
 MODEL_VERSION = 1
@@ -285,24 +289,28 @@ def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
                   nm.take_rows(tape.watch(b), kinds))
 
 
-def encode_element(tape: Tape, pack: ElementPack, params: ModelParams) -> Node:
-    """Encode a pack's E elements in one FE pass over their valid token rows
-    (invalid rows are dropped, not padded) -> (E,d) latents. The pack's
-    counts form one segment plan, shared by every FE block and the final
+# The plan of an empty set's one null latent.
+_NULL_SET = nm.Segments.from_counts([1])
+
+
+def encode_element(tape: Tape, layout: GoalLayout, tokens: np.ndarray, params: ModelParams) -> Node:
+    """Encode a layout's E elements in one FE pass over their (N, TOKEN_DIM)
+    valid token rows (invalid rows are dropped, not padded) -> (E,d) latents.
+    The layout's segment plan is shared by every FE block and the final
     pooling."""
-    segments = nm.Segments.from_counts(pack.counts)
-    tokens = _kind_rows(tape, params.token_w, params.token_b, pack.row_kinds, pack.tokens)
-    context = _kind_rows(tape, params.ctx_w, params.ctx_b, pack.kinds, pack.contexts)
+    tokens = _kind_rows(tape, params.token_w, params.token_b, layout.row_kinds, tokens)
+    context = _kind_rows(tape, params.ctx_w, params.ctx_b, layout.kinds, layout.contexts)
     for block in params.fe_blocks:
-        tokens, context = mnm_query(tape, tokens, context, segments, block)
-    return nm.maximum(nm.segment_max(tokens, segments), context)
+        tokens, context = mnm_query(tape, tokens, context, layout.segments, block)
+    return nm.maximum(nm.segment_max(tokens, layout.segments), context)
 
 
-def interact(tape: Tape, ego_latent: Node, latents: Node, blocks: list[MnMBlockParams]) -> Node:
-    """Ego-conditioned set interaction: the (n,d) latents are one segment
-    whose query is the (1,d) ego latent; returns the final (1,d) query. Only
-    the query leaves the stack, so its last block updates the query alone."""
-    segments = nm.Segments.from_counts([latents.value.shape[0]])
+def interact(tape: Tape, ego_latent: Node, latents: Node, segments: nm.Segments,
+             blocks: list[MnMBlockParams]) -> Node:
+    """Ego-conditioned set interaction: the (n,d) latents are the one segment
+    of `segments`, whose query is the (1,d) ego latent; returns the final
+    (1,d) query. Only the query leaves the stack, so its last block updates
+    the query alone."""
     context = ego_latent
     for depth, block in enumerate(blocks, start=1):
         latents, context = mnm_query(tape, latents, context, segments, block,
@@ -314,20 +322,21 @@ def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
                  gc: GoalConditioning | None = None) -> Node:
     """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent.
     f_E and the set latents are rows of one `encode_element` call over the
-    scene's pack, with the goal's rows spliced in at its placement."""
-    pack = scene.pack if gc is None else scene.pack.with_goal(gc)
-    latents = encode_element(tape, pack, params)
-    roads, agents = pack.num_roads, pack.num_agents
+    scene's pack, with the goal's rows spliced in at its placement; the
+    plans come from the pack's kept layout for that placement."""
+    layout, tokens = scene.pack.splice_goal(gc)
+    latents = encode_element(tape, layout, tokens, params)
 
-    def set_latents(start: int, count: int, null: Parameter) -> Node:
-        if count == 0:
-            return nm.reshape(tape.watch(null), (1, params.config.d))
-        return nm.take_rows(latents, slice(start, start + count))
+    def set_latents(start: int, plan: nm.Segments | None, null: Parameter):
+        if plan is None:
+            return nm.reshape(tape.watch(null), (1, params.config.d)), _NULL_SET
+        return nm.take_rows(latents, slice(start, start + plan.ids.size)), plan
 
     f_ego = nm.take_rows(latents, slice(0, 1))
-    f_road = interact(tape, f_ego, set_latents(1, roads, params.null_road), params.road_interact)
-    f_agent = interact(tape, f_ego, set_latents(1 + roads, agents, params.null_agent),
-                       params.agent_interact)
+    f_road = interact(tape, f_ego, *set_latents(1, layout.road_set, params.null_road),
+                      params.road_interact)
+    f_agent = interact(tape, f_ego, *set_latents(1 + layout.num_roads, layout.agent_set,
+                                                 params.null_agent), params.agent_interact)
     fused_in = nm.concat_last(nm.concat_last(f_ego, f_road), f_agent)
     return _run_mlp(_watched_layers(tape, params.fusion), nm.reshape(fused_in, (-1,)),
                     params.config.activation)

@@ -11,18 +11,23 @@ Token layout (TOKEN_DIM columns):
   goal:           [x, y, visible_flag, step_norm, 0, 0, 0, 0]
 Context vectors start with a one-hot element-kind tag; road and agent
 contexts additionally carry a scaled curvature / speed feature.
+
+A scene packs its valid elements once (`Scene.pack`), and the pack keeps
+one `GoalLayout` per goal placement and horizon: everything a forward reads
+besides the token rows, which `ElementPack.splice_goal` builds per forward
+from the pack's rows and the goal's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import EmptySetError
+from .numerics import EmptySetError, Segments
 
 TOKEN_DIM = 8
 CTX_DIM = 8
@@ -50,6 +55,13 @@ class FormatError(ValueError):
     """A file header or record does not match the expected format/version."""
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """`values` as an array that owns its data: a view of a caller's array is
+    copied, so the read-only flag a pack sets covers every value it read."""
+    array = np.asarray(values, dtype=dtype)
+    return array if array.flags.owndata else array.copy()
+
+
 @dataclass
 class SceneElement:
     kind: str
@@ -58,9 +70,9 @@ class SceneElement:
     context: np.ndarray  # (CTX_DIM,)
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        self.context = np.asarray(self.context, dtype=np.float64)
+        self.tokens = _owned(self.tokens, np.float64)
+        self.mask = _owned(self.mask, bool)
+        self.context = _owned(self.context, np.float64)
         if self.kind not in _KIND_TAG:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if self.tokens.ndim != 2 or self.tokens.shape[1] != TOKEN_DIM:
@@ -77,13 +89,82 @@ class SceneElement:
         return int(self.mask.sum())
 
 
+def _frozen(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True, slots=True)
+class GoalLayout:
+    """Everything a forward reads of a pack except its token rows, for one
+    goal placement and horizon or for no goal: the row kinds, kinds, counts
+    and contexts with the goal's spliced in, the road/agent split, the goal's
+    first row, the FE segment plan and each interaction set's one-segment
+    plan (None for an empty set, which reads a null latent instead). It
+    holds no token rows and no kind-slot matrix."""
+
+    row_kinds: np.ndarray  # (N,)
+    kinds: np.ndarray  # (E,)
+    counts: np.ndarray  # (E,)
+    contexts: np.ndarray  # (E, CTX_DIM)
+    num_roads: int
+    goal_row: int | None  # the goal's first row; None without a goal
+    segments: Segments  # each row's element
+    road_set: Segments | None
+    agent_set: Segments | None
+
+    @property
+    def num_agents(self) -> int:
+        return self.kinds.size - 1 - self.num_roads
+
+
+@lru_cache(maxsize=256)
+def _set_plan(size: int) -> Segments | None:
+    """The one-segment plan of an interaction set of `size` latents, shared
+    by every layout; None for an empty set."""
+    if size == 0:
+        return None
+    plan = Segments.from_counts([size])
+    _frozen(plan.ids, plan.starts)
+    return plan
+
+
+def build_layout(pack: ElementPack, key: tuple[str, int] | None) -> GoalLayout:
+    """The pack's layout for a goal keyed by its (placement, horizon): its
+    horizon rows spliced in as the pack's last road (roads placement) or its
+    last agent; for the key None, the layout without a goal."""
+    row_kinds, kinds, counts, contexts = pack.row_kinds, pack.kinds, pack.counts, pack.contexts
+    num_roads, row = pack.num_roads, None
+    if key is not None:
+        placement, horizon = key
+        on_roads = placement == PLACE_ROADS
+        at = 1 + num_roads if on_roads else kinds.size
+        row = int(counts[:at].sum())
+        kind = _KIND_TAG[KIND_GOAL]
+
+        def splice(a, b, index):
+            return np.concatenate((a[:index], b, a[index:]))
+
+        row_kinds = splice(row_kinds, np.full(horizon, kind), row)
+        kinds = splice(kinds, (kind,), at)
+        counts = splice(counts, (horizon,), at)
+        contexts = splice(contexts, _GOAL_CONTEXT[None], at)
+        num_roads += on_roads
+    segments = Segments.from_counts(counts)
+    _frozen(row_kinds, kinds, counts, contexts, segments.ids, segments.starts)
+    return GoalLayout(row_kinds=row_kinds, kinds=kinds, counts=counts, contexts=contexts,
+                      num_roads=num_roads, goal_row=row, segments=segments,
+                      road_set=_set_plan(num_roads), agent_set=_set_plan(kinds.size - 1 - num_roads))
+
+
 @dataclass(frozen=True)
 class ElementPack:
     """Elements' valid token rows packed in element order, as the FE stack
     reads them; an element's kind is its index in ELEMENT_KINDS.
 
     A scene's pack holds its ego, then its roads, then its agents, and
-    `num_roads` splits the roads from the agents."""
+    `num_roads` splits the roads from the agents. Its `GoalLayout`s, one per
+    goal placement and horizon, are built on first use and kept."""
 
     tokens: np.ndarray  # (N, TOKEN_DIM) valid rows, element after element
     row_kinds: np.ndarray  # (N,) each row's element kind
@@ -91,29 +172,22 @@ class ElementPack:
     counts: np.ndarray  # (E,) valid rows per element, each >= 1
     contexts: np.ndarray  # (E, CTX_DIM)
     num_roads: int = 0
+    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def num_agents(self) -> int:
-        return self.kinds.size - 1 - self.num_roads
-
-    def with_goal(self, gc: GoalConditioning) -> ElementPack:
-        """This scene pack with the goal's rows spliced in as its last road
-        (roads placement) or its last agent."""
-        on_roads = gc.placement == PLACE_ROADS
-        at = 1 + self.num_roads if on_roads else self.kinds.size
-        row = int(self.counts[:at].sum())
-        rows = goal_tokens(gc)
-        kind = _KIND_TAG[KIND_GOAL]
-
-        def splice(a, b, index):
-            return np.concatenate((a[:index], b, a[index:]))
-
-        return ElementPack(tokens=splice(self.tokens, rows, row),
-                           row_kinds=splice(self.row_kinds, np.full(len(rows), kind), row),
-                           kinds=splice(self.kinds, (kind,), at),
-                           counts=splice(self.counts, (len(rows),), at),
-                           contexts=splice(self.contexts, _GOAL_CONTEXT[None], at),
-                           num_roads=self.num_roads + on_roads)
+    def splice_goal(self, gc: GoalConditioning | None) -> tuple[GoalLayout, np.ndarray]:
+        """The kept layout of gc's (placement, horizon), built on first use,
+        and the pack's token rows with `goal_tokens(gc)` spliced in at its
+        goal row; without a goal, the layout keyed None and the pack's rows.
+        A layout is keyed by those two values, not by `gc`, which changes
+        from forward to forward."""
+        key = None if gc is None else (gc.placement, gc.horizon)
+        layout = self.layouts.get(key)
+        if layout is None:
+            layout = self.layouts[key] = build_layout(self, key)
+        if gc is None:
+            return layout, self.tokens
+        row = layout.goal_row
+        return layout, np.concatenate((self.tokens[:row], goal_tokens(gc), self.tokens[row:]))
 
 
 def pack_elements(elements: list[SceneElement], num_roads: int = 0) -> ElementPack:
@@ -126,20 +200,29 @@ def pack_elements(elements: list[SceneElement], num_roads: int = 0) -> ElementPa
     pack = ElementPack(tokens=np.concatenate([e.tokens[e.mask] for e in elements]),
                        row_kinds=np.repeat(kinds, counts), kinds=kinds, counts=counts,
                        contexts=np.stack([e.context for e in elements]), num_roads=num_roads)
-    for array in (pack.tokens, pack.row_kinds, kinds, counts, pack.contexts):
-        array.flags.writeable = False
+    _frozen(pack.tokens, pack.row_kinds, kinds, counts, pack.contexts)
     return pack
 
 
 @dataclass
 class Scene:
+    """A scene's elements, kept as tuples so that its pack cannot go stale
+    through them; once packed, its element fields cannot be reassigned."""
+
     ego: SceneElement
-    agents: list[SceneElement]
-    roads: list[SceneElement]
+    agents: tuple[SceneElement, ...]
+    roads: tuple[SceneElement, ...]
     future: np.ndarray  # (T, 2) ground-truth ego positions, meters
     future_mask: np.ndarray  # (T,) bool
 
+    def __setattr__(self, name, value):
+        if name in ("ego", "agents", "roads") and "pack" in self.__dict__:
+            raise AttributeError(f"cannot set {name} of a packed scene")
+        super().__setattr__(name, value)
+
     def __post_init__(self):
+        self.agents = tuple(self.agents)
+        self.roads = tuple(self.roads)
         self.future = np.asarray(self.future, dtype=np.float64)
         self.future_mask = np.asarray(self.future_mask, dtype=bool)
         if self.future.ndim != 2 or self.future.shape[1] != 2:

@@ -47,8 +47,12 @@ def select_winner(means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> int:
 
 
 def _counted_steps(valid: np.ndarray, exclusion_index: int | None) -> np.ndarray:
+    """The valid steps less the excluded one, which must be a valid step."""
     counted = np.asarray(valid, dtype=bool).copy()
     if exclusion_index is not None:
+        if not (0 <= exclusion_index < counted.size and counted[exclusion_index]):
+            raise ValueError(f"exclusion index {exclusion_index} does not name a valid step "
+                             f"(horizon {counted.size})")
         counted[exclusion_index] = False
     return counted
 
@@ -262,9 +266,12 @@ def train(
     """
     if not scenes:
         raise ValueError("training requires a non-empty dataset")
+    horizon = (model_config if params is None else params.config).horizon
     for index, scene in enumerate(scenes):
         if not scene.future_mask.any():
             raise EmptySetError(f"scene {index} has no valid future step to train on")
+        if scene.horizon != horizon:
+            raise ValueError(f"scene {index} has horizon {scene.horizon}, the model's is {horizon}")
     if params is None:
         params = init_model_params(model_config)
     state = AdamState.create(params.values.size, train_config)

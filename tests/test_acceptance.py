@@ -124,8 +124,8 @@ def test_criterion_3_set_and_mask_invariance():
             mask=np.append(first_road.mask, [False, False]),
             context=first_road.context,
         )
-        padded = Scene(ego=scene.ego, agents=scene.agents + [ghost],
-                       roads=[padded_road] + scene.roads[1:] + [ghost],
+        padded = Scene(ego=scene.ego, agents=[*scene.agents, ghost],
+                       roads=[padded_road, *scene.roads[1:], ghost],
                        future=scene.future, future_mask=scene.future_mask)
         if not (encode_scene(Tape(), padded, params).value == base).all():
             exact_pad = False

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -37,6 +37,7 @@ from golfer.scene import (
     Scene,
     SceneElement,
     apply_goal_masking,
+    build_layout,
     encode_goal_element,
     generate_dataset,
     pack_elements,
@@ -61,6 +62,12 @@ TINY = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3, hori
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _latents(elements, params):
+    """The (E,d) latents of `elements` packed and encoded without a goal."""
+    layout, tokens = pack_elements(elements).splice_goal(None)
+    return encode_element(Tape(), layout, tokens, params).value
 
 
 def _element(seed, kind="road", points=5, invalid=()):
@@ -128,10 +135,8 @@ class TestEncodeElement:
             mask=np.append(element.mask, True),
             context=element.context,
         )
-        tape = Tape()
-        base = encode_element(tape, pack_elements([element]), params).value
-        tape = Tape()
-        again = encode_element(tape, pack_elements([dup]), params).value
+        base = _latents([element], params)
+        again = _latents([dup], params)
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -140,18 +145,15 @@ class TestEncodeElement:
         perm = _rng(6).permutation(6)
         permuted = SceneElement(kind=element.kind, tokens=element.tokens[perm],
                                 mask=element.mask[perm], context=element.context)
-        tape = Tape()
-        base = encode_element(tape, pack_elements([element]), params).value
-        tape = Tape()
-        again = encode_element(tape, pack_elements([permuted]), params).value
+        base = _latents([element], params)
+        again = _latents([permuted], params)
         np.testing.assert_allclose(again, base, atol=1e-12)
 
     def test_matches_dense_oracle(self):
         params = init_model_params(TINY)
         for seed in range(5):
             element = _element(seed + 10, invalid=(1,))
-            tape = Tape()
-            (out,) = encode_element(tape, pack_elements([element]), params).value
+            (out,) = _latents([element], params)
             np.testing.assert_allclose(out, ref_encode_element(params, element), atol=1e-12)
 
     def test_empty_element_is_an_error(self):
@@ -159,7 +161,7 @@ class TestEncodeElement:
         element = _element(7)
         element.mask[:] = False
         with pytest.raises(EmptySetError):
-            encode_element(Tape(), pack_elements([element]), params)
+            _latents([element], params)
 
 
 class TestInteract:
@@ -172,7 +174,8 @@ class TestInteract:
         block.w4.value[...] = 0.0
         ego = _rng(9).normal(size=16)
         tape = Tape()
-        out = interact(tape, tape.constant(ego[None]), tape.constant(np.ones((1, 16))), [block])
+        out = interact(tape, tape.constant(ego[None]), tape.constant(np.ones((1, 16))),
+                       nm.Segments.from_counts([1]), [block])
         s = ego * 1.0 + 1.0  # match(c, x) + x with x = ones: c*1 + 1
         expected = ref_max_pool(
             ref_layer_norm(s[None, :], block.norm_mix_gamma.value, block.norm_mix_beta.value),
@@ -187,10 +190,11 @@ class TestInteract:
         latents = rng.normal(size=(5, 16))
         perm = rng.permutation(5)
         tape = Tape()
-        base = interact(tape, tape.constant(ego[None]), tape.constant(latents),
+        one_set = nm.Segments.from_counts([5])
+        base = interact(tape, tape.constant(ego[None]), tape.constant(latents), one_set,
                         params.agent_interact).value
         tape = Tape()
-        again = interact(tape, tape.constant(ego[None]), tape.constant(latents[perm]),
+        again = interact(tape, tape.constant(ego[None]), tape.constant(latents[perm]), one_set,
                          params.agent_interact).value
         np.testing.assert_allclose(again, base, atol=1e-12)
 
@@ -237,7 +241,7 @@ class TestEncodeScene:
         scene = _scene(5)
         ghost = _element(999, "road")
         ghost.mask[:] = False
-        padded = Scene(ego=scene.ego, agents=scene.agents, roads=scene.roads + [ghost],
+        padded = Scene(ego=scene.ego, agents=scene.agents, roads=[*scene.roads, ghost],
                        future=scene.future, future_mask=scene.future_mask)
         base = encode_scene(Tape(), scene, params).value
         again = encode_scene(Tape(), padded, params).value
@@ -254,7 +258,7 @@ class TestEncodeScene:
             context=road.context,
         )
         padded = Scene(ego=scene.ego, agents=scene.agents,
-                       roads=[padded_road] + scene.roads[1:],
+                       roads=[padded_road, *scene.roads[1:]],
                        future=scene.future, future_mask=scene.future_mask)
         base = encode_scene(Tape(), scene, params).value
         again = encode_scene(Tape(), padded, params).value
@@ -317,8 +321,8 @@ class TestPackingInvariance:
         scene, pads, padded_scene, (road_perm, agent_perm) = case
         params = init_model_params(TINY)
         elements = [scene.ego, *scene.roads, *scene.agents]
-        latents = encode_element(Tape(), pack_elements(elements), params).value
-        assert (encode_element(Tape(), pack_elements(pads), params).value == latents).all()
+        latents = _latents(elements, params)
+        assert (_latents(pads, params) == latents).all()
 
         base = encode_scene(Tape(), scene, params).value
         assert (encode_scene(Tape(), padded_scene, params).value == base).all()
@@ -327,7 +331,7 @@ class TestPackingInvariance:
         agents = [scene.agents[i] for i in agent_perm]
         order = [0, *(1 + np.array(road_perm, dtype=int)),
                  *(1 + len(roads) + np.array(agent_perm, dtype=int))]
-        permuted = encode_element(Tape(), pack_elements([scene.ego, *roads, *agents]), params).value
+        permuted = _latents([scene.ego, *roads, *agents], params)
         np.testing.assert_allclose(permuted, latents[order], rtol=0, atol=1e-12)
         shuffled = Scene(ego=scene.ego, agents=agents, roads=roads, future=scene.future,
                          future_mask=scene.future_mask)
@@ -338,7 +342,9 @@ class TestPackingInvariance:
 @st.composite
 def _pack_cases(draw):
     """A random scene whose road and agent sets may be empty or hold elements
-    with no valid point, and a goal that is absent or placed on either set."""
+    with no valid point, and the goals of several forwards of it: in each
+    round, one with no goal and one on each placement, each with its own
+    masked future."""
     rng = _rng(draw(st.integers(0, 2**32 - 1)))
 
     def element(kind):
@@ -351,44 +357,66 @@ def _pack_cases(draw):
 
     scene = Scene(ego=element("ego"), roads=[element("road") for _ in range(draw(st.integers(0, 4)))],
                   agents=[element("agent") for _ in range(draw(st.integers(0, 3)))],
-                  future=rng.normal(size=(4, 2)), future_mask=np.ones(4, dtype=bool))
-    placement = draw(st.sampled_from([None, "agents", "roads"]))
-    if placement is None:
-        return scene, None
-    gc = apply_goal_masking(scene.future, rng, draw(st.floats(0.0, 1.0)), scene.future_mask)
-    return scene, replace(gc, placement=placement)
+                  future=rng.normal(size=(4, 2)), future_mask=rng.random(4) < 0.8)
+    goals = []
+    for _ in range(draw(st.integers(1, 3))):
+        for placement in draw(st.permutations([None, "agents", "roads"])):
+            gc = apply_goal_masking(scene.future, rng, draw(st.floats(0.0, 1.0)), scene.future_mask)
+            goals.append(None if placement is None else replace(gc, placement=placement))
+    return scene, goals
+
+
+def _goal_index(roads, agents, placement):
+    """The goal's element index in a pack of the ego, roads and agents."""
+    return len(roads) if placement == "roads" else len(roads) + len(agents)
 
 
 class TestScenePack:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(_pack_cases())
     def test_pack_matches_the_element_by_element_oracle(self, case):
-        scene, gc = case
-        goal = encode_goal_element(gc) if gc is not None else None
-        placement = gc.placement if gc is not None else "agents"
-        roads, agents = ref_scene_sets(scene, goal, placement)
-        ref = ref_pack_elements([scene.ego, *roads, *agents])
-        pack = scene.pack if gc is None else scene.pack.with_goal(gc)
-        expected = {"tokens": np.array(ref["tokens"]).reshape(-1, TOKEN_DIM),
-                    "row_kinds": np.array(ref["row_kinds"], dtype=np.intp),
-                    "kinds": np.array(ref["kinds"], dtype=np.intp),
-                    "counts": np.array(ref["counts"], dtype=np.intp),
-                    "contexts": np.stack(ref["contexts"])}
-        for name, want in expected.items():
-            got = getattr(pack, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
-        assert (pack.num_roads, pack.num_agents) == (len(roads), len(agents))
-        segments = nm.Segments.from_counts(pack.counts)
-        assert segments.ids.tolist() == ref["ids"] and segments.starts.tolist() == ref["starts"]
-
+        scene, goals = case
         params = init_model_params(TINY)
-        spliced = encode_scene(Tape(), scene, params, gc).value
-        as_elements = Scene(ego=scene.ego, roads=roads, agents=agents, future=scene.future,
-                            future_mask=scene.future_mask)
-        assert (encode_scene(Tape(), as_elements, params).value == spliced).all()
-        np.testing.assert_allclose(spliced, ref_encode_scene(params, scene, goal, placement),
-                                   rtol=0, atol=1e-12)
+        for gc in goals:
+            goal = encode_goal_element(gc) if gc is not None else None
+            placement = gc.placement if gc is not None else "agents"
+            roads, agents = ref_scene_sets(scene, goal, placement)
+            ref = ref_pack_elements([scene.ego, *roads, *agents])
+            layout, tokens = scene.pack.splice_goal(gc)
+            expected = {"tokens": np.array(ref["tokens"]).reshape(-1, TOKEN_DIM),
+                        "row_kinds": np.array(ref["row_kinds"], dtype=np.intp),
+                        "kinds": np.array(ref["kinds"], dtype=np.intp),
+                        "counts": np.array(ref["counts"], dtype=np.intp),
+                        "contexts": np.stack(ref["contexts"]),
+                        "ids": np.array(ref["ids"], dtype=np.intp),
+                        "starts": np.array(ref["starts"], dtype=np.intp)}
+            got = {"tokens": tokens, "ids": layout.segments.ids, "starts": layout.segments.starts,
+                   **{name: getattr(layout, name) for name in
+                      ("row_kinds", "kinds", "counts", "contexts")}}
+            for name, want in expected.items():
+                assert got[name].dtype == want.dtype and got[name].shape == want.shape, name
+                assert got[name].tobytes() == want.tobytes(), name
+            assert (layout.num_roads, layout.num_agents) == (len(roads), len(agents))
+            assert layout.segments.count == len(ref["counts"])
+            for plan, members in ((layout.road_set, roads), (layout.agent_set, agents)):
+                if not members:
+                    assert plan is None
+                else:
+                    assert plan.count == 1 and plan.starts.tolist() == [0]
+                    assert plan.ids.tolist() == [0] * len(members)
+            if gc is None:
+                assert layout.goal_row is None and tokens is scene.pack.tokens
+            else:
+                assert layout.goal_row == ref["starts"][_goal_index(roads, agents, placement)]
+
+            spliced = encode_scene(Tape(), scene, params, gc).value
+            as_elements = Scene(ego=scene.ego, roads=roads, agents=agents, future=scene.future,
+                                future_mask=scene.future_mask)
+            assert (encode_scene(Tape(), as_elements, params).value == spliced).all()
+            np.testing.assert_allclose(spliced, ref_encode_scene(params, scene, goal, placement),
+                                       rtol=0, atol=1e-12)
+        keys = {None if gc is None else (gc.placement, gc.horizon) for gc in goals}
+        assert scene.pack.layouts.keys() == keys
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
@@ -418,6 +446,76 @@ class TestScenePack:
             third = forward(scene, gc, params)
         assert packing.call_count == 1 and scene.pack is pack
         assert (first.means == third.means).all() and (first.means != second.means).any()
+
+    def test_a_layout_is_built_once_per_placement_and_horizon(self):
+        from golfer import scene as scene_module
+
+        params = init_model_params(TINY)
+        scene = _scene(33)
+        rng = _rng(34)
+        with mock.patch.object(scene_module, "build_layout", wraps=build_layout) as building:
+            for _ in range(3):
+                for placement in ("agents", "roads"):
+                    gc = apply_goal_masking(scene.future, rng, 0.5, scene.future_mask)
+                    forward(scene, replace(gc, placement=placement), params)
+                forward(scene, None, params)
+        assert building.call_count == 3
+        assert scene.pack.layouts.keys() == {None, ("agents", 4), ("roads", 4)}
+        for layout in scene.pack.layouts.values():
+            elements = layout.kinds.size
+            values = [getattr(layout, f.name) for f in fields(layout)]
+            plans = [v for v in values if isinstance(v, nm.Segments)]
+            arrays = [v for v in values if isinstance(v, np.ndarray)]
+            arrays += [a for plan in plans for a in (plan.ids, plan.starts)]
+            floats = [a for a in arrays if a.dtype.kind == "f"]
+            assert [a.shape for a in floats] == [(elements, CTX_DIM)]
+            assert not any(np.shares_memory(a, scene.pack.tokens) for a in arrays)
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_a_goal_of_another_horizon_gets_its_own_layout(self):
+        params = init_model_params(TINY)
+        scene = _scene(35)
+        short = prediction_conditioning(3)
+        for gc in (prediction_conditioning(4), short, replace(short, placement="roads")):
+            layout, tokens = scene.pack.splice_goal(gc)
+            assert layout.counts[layout.kinds == 3].tolist() == [gc.horizon]
+            assert layout.row_kinds.size == tokens.shape[0] == scene.pack.tokens.shape[0] + gc.horizon
+            goal = encode_goal_element(gc)
+            roads, agents = ref_scene_sets(scene, goal, gc.placement)
+            fresh = Scene(ego=scene.ego, roads=roads, agents=agents, future=scene.future,
+                          future_mask=scene.future_mask)
+            assert (encode_scene(Tape(), scene, params, gc).value
+                    == encode_scene(Tape(), fresh, params).value).all()
+        assert len(scene.pack.layouts) == 3
+
+    def test_a_packed_scene_s_element_sets_cannot_change(self):
+        params = init_model_params(TINY)
+        scene = _scene(36)
+        gc = prediction_conditioning(4)
+        first = forward(scene, gc, params)
+        with pytest.raises(AttributeError):
+            scene.roads.append(scene.roads[0])
+        with pytest.raises(AttributeError):
+            scene.agents.clear()
+        for name in ("ego", "roads", "agents"):
+            with pytest.raises(AttributeError, match="packed scene"):
+                setattr(scene, name, getattr(scene, name))
+        assert (len(scene.roads), len(scene.agents)) == (2, 2)
+        assert (forward(scene, gc, params).means == first.means).all()
+
+    def test_an_element_on_a_view_owns_its_arrays(self):
+        params = init_model_params(TINY)
+        scene = _scene(37)
+        road = scene.roads[0]
+        big = np.vstack([road.tokens, road.tokens])
+        viewed = SceneElement(kind=road.kind, tokens=big[:5], mask=road.mask, context=road.context)
+        packed = Scene(ego=scene.ego, roads=[viewed, *scene.roads[1:]], agents=scene.agents,
+                       future=scene.future, future_mask=scene.future_mask)
+        forward(packed, prediction_conditioning(4), params)
+        big[:, 0] += 5.0
+        assert (viewed.tokens == road.tokens).all()
+        with pytest.raises(ValueError, match="read-only"):
+            viewed.tokens[0, 0] = 0.0
 
     def test_a_write_to_a_packed_element_raises(self):
         scene = _scene(32)

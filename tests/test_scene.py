@@ -363,13 +363,14 @@ class TestDatasetIO:
 
 
 def _assert_bitwise_equal(a, b, where):
-    """Every field of `a` and `b`, recursing through dataclasses and lists;
-    arrays must agree in dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    """Every field of `a` and `b`, recursing through dataclasses, lists and
+    tuples; arrays must agree in dtype, shape and bytes (so -0.0 differs
+    from 0.0)."""
     if dataclasses.is_dataclass(a):
         assert type(a) is type(b), where
         for f in dataclasses.fields(a):
             _assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
-    elif isinstance(a, list):
+    elif isinstance(a, (list, tuple)):
         assert len(a) == len(b), where
         for i, (x, y) in enumerate(zip(a, b)):
             _assert_bitwise_equal(x, y, f"{where}[{i}]")

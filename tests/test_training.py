@@ -196,6 +196,14 @@ class TestTotalLoss:
             assert again.regression_nll == base.regression_nll
             assert again.winner_index == base.winner_index
 
+    @pytest.mark.parametrize("index", [-1, 8, 99, 3])
+    def test_an_exclusion_off_the_valid_steps_is_named(self, index):
+        """Negative, out of range, or on the invalid step 3."""
+        valid = np.ones(8, dtype=bool)
+        valid[3] = False
+        with pytest.raises(ValueError, match=f"exclusion index {index} "):
+            total_loss(_prediction(9), _rng(10).normal(size=(8, 2)), valid, index, lam=1.0)
+
 
 TINY_MODEL = GolferConfig(d=16, heads=2, fe_depth=1, interact_depth=1, k_modes=3,
                           horizon=16, d_ff=32, decoder_hidden=(16,), seed=1)
@@ -468,6 +476,17 @@ class TestTrainLoop:
         with pytest.raises(EmptySetError, match="scene 1"):
             train(scenes, TINY_MODEL, TrainConfig(epochs=1), params=params)
         assert all((p.value == b).all() for p, b in zip(params.parameters(), before))
+
+    def test_a_scene_of_another_horizon_is_rejected_before_step_0(self):
+        scenes = [*generate_dataset(GeneratorConfig(seed=26), 2),
+                  *generate_dataset(GeneratorConfig(seed=27, horizon=8), 1)]
+        params = init_model_params(TINY_MODEL)
+        before = params.values.copy()
+        with pytest.raises(ValueError, match="scene 2 has horizon 8, the model's is 16"):
+            train(scenes, TINY_MODEL, TrainConfig(epochs=1), params=params)
+        assert params.values.tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="scene 2 has horizon 8"):
+            train(scenes, TINY_MODEL, TrainConfig(epochs=1))
 
     def test_scenes_with_one_valid_step_train(self):
         # At mask ratio 0 every step survives the coin, so a goal that could
