@@ -113,10 +113,6 @@ class GoalLayout:
     road_set: Segments | None
     agent_set: Segments | None
 
-    @property
-    def num_agents(self) -> int:
-        return self.kinds.size - 1 - self.num_roads
-
 
 @lru_cache(maxsize=256)
 def _set_plan(size: int) -> Segments | None:
