@@ -21,9 +21,10 @@ identical to full-width pooling, so max-pool Mix runs before any split.
 The query-conditioned block runs E token sets at once, packed as the rows of
 one (N,d) matrix with one query per set; the rows' set ids arrive as one
 checked `numerics.Segments` plan, shared by every block over those rows. It
-standardizes its mixed tokens once for both of its token norms, and a block
-whose tokens nothing reads (the last of a query-only stack) updates only
-its query, skipping the token norm, FFN and residual add.
+standardizes its mixed tokens once for both of its token norms. A block
+whose tokens nothing reads (the last of a query-only stack) is declared
+without a token FFN: it updates only its query, skipping the token norm,
+FFN and residual add.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ class MnMBlockParams:
     norm_mix_beta: Parameter
     norm_ffn_gamma: Parameter
     norm_ffn_beta: Parameter
-    w1: Parameter
-    w2: Parameter
+    # The token FFN; None in a query-only block, which updates no tokens.
+    w1: Parameter | None
+    w2: Parameter | None
     # (H,...) Match projections (absent for ATTENTION_MATMUL and for PRODUCT
     # without an explicit projection).
     wm: Parameter | None = None
@@ -130,8 +132,9 @@ class MnMBlockParams:
         yield prefix + "norm_mix.beta", self.norm_mix_beta
         yield prefix + "norm_ffn.gamma", self.norm_ffn_gamma
         yield prefix + "norm_ffn.beta", self.norm_ffn_beta
-        yield prefix + "w1", self.w1
-        yield prefix + "w2", self.w2
+        if self.w1 is not None:
+            yield prefix + "w1", self.w1
+            yield prefix + "w2", self.w2
         for name in ("wm", "wq", "wk"):
             family = getattr(self, name)
             if family is not None:
@@ -146,14 +149,19 @@ class MnMBlockParams:
     def initialize(self, rng: np.random.Generator) -> None:
         """Norm gains 1, shifts 0, attention projections the identity, and the
         rest uniform in +-1/sqrt(fan_in), drawn from rng in the order w1, w2,
-        wm, w3, w4."""
+        wm, w3, w4. A query-only block still draws w1 and w2 and drops them,
+        so its other weights start as they would in a block with a token FFN."""
         for gamma in (self.norm_mix_gamma, self.norm_ffn_gamma, self.norm_q_gamma):
             if gamma is not None:
                 gamma.value[...] = 1.0
         for proj in (self.wq, self.wk):
             if proj is not None:
                 proj.value[...] = np.eye(self.d // self.heads)
-        for w in (self.w1, self.w2, self.wm, self.w3, self.w4):
+        for w, shape in ((self.w1, (self.d, self.d_ff)), (self.w2, (self.d_ff, self.d))):
+            draw = nm.uniform_init(rng, shape, shape[0])
+            if w is not None:
+                w.value[...] = draw
+        for w in (self.wm, self.w3, self.w4):
             if w is not None:
                 w.value[...] = nm.uniform_init(rng, w.value.shape, w.value.shape[-2])
 
@@ -169,9 +177,11 @@ def declare_mnm_block(
     query_variant: bool = False,
     attn_proj: bool = False,
     product_proj: bool = False,
+    update_tokens: bool = True,
 ) -> MnMBlockParams:
     """A block whose weights are declared in `arena`; `initialize` them once it
-    is allocated."""
+    is allocated. A query-variant block with `update_tokens=False` has no
+    token FFN and returns only its query."""
     if d % heads != 0:
         raise ValueError(f"embedding dim {d} not divisible by {heads} heads")
     if (mix_kind is MixKind.ATTENTION) != (match_kind is MatchKind.ATTENTION_MATMUL):
@@ -181,6 +191,8 @@ def declare_mnm_block(
         # norm/FFN widths depend on the token count; only vector-valued mixes
         # are supported here.
         raise ValueError("query-variant blocks require a vector-valued mix (MAX_POOL)")
+    if not (update_tokens or query_variant):
+        raise ValueError("only a query-variant block can leave its tokens out")
     dh = d // heads
     params = MnMBlockParams(
         d=d,
@@ -194,8 +206,8 @@ def declare_mnm_block(
         norm_mix_beta=arena.param((d,)),
         norm_ffn_gamma=arena.param((d,)),
         norm_ffn_beta=arena.param((d,)),
-        w1=arena.param((d, d_ff)),
-        w2=arena.param((d_ff, d)),
+        w1=arena.param((d, d_ff)) if update_tokens else None,
+        w2=arena.param((d_ff, d)) if update_tokens else None,
     )
     if match_kind is MatchKind.CONCAT:
         params.wm = arena.param((heads, 2 * dh, dh))
@@ -273,8 +285,8 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     return nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
 
 
-def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments, params: MnMBlockParams,
-              update_tokens: bool = True) -> tuple[Node | None, Node]:
+def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments,
+              params: MnMBlockParams) -> tuple[Node | None, Node]:
     """Query-conditioned variant over E packed token sets; Match runs first.
 
     x is (N,d) token rows, `segments` the plan of each row's set id, and c
@@ -286,9 +298,9 @@ def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments, params: MnMBl
     C''<- FFN_q(Norm(C')) + C'
 
     S is standardized once; the two norms of S apply their own scale and
-    shift to it. A caller that reads only the query, such as the last block
-    of a stack, passes `update_tokens=False`: X' is then neither computed nor
-    returned (None in its place), and C'' is unchanged.
+    shift to it. A query-only block (no w1) neither computes nor returns X'
+    (None in its place), and its C'' is that of the same block with a token
+    FFN.
     """
     if not params.query_variant:
         raise ValueError("block was not initialized as a query-variant block")
@@ -299,7 +311,7 @@ def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments, params: MnMBl
     s_mix = nm.affine_norm(s_std, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta))
     c_mix = nm.segment_max(s_mix, segments)
     x_out = None
-    if update_tokens:
+    if params.w1 is not None:
         sn = nm.affine_norm(s_std, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta))
         x_out = nm.add(_ffn(tape, params, sn, params.w1, params.w2), s)
     cn = nm.layer_norm(c_mix, tape.watch(params.norm_q_gamma), tape.watch(params.norm_q_beta),

@@ -14,14 +14,17 @@ that every FE block reuses and each interaction set's plan. A forward
 builds only what depends on the goal conditioning: the goal's token rows,
 one splice of them into the scene's, and the kind-slot matrices its token
 and context projections multiply. Each interaction stack returns only
-its ego query, so its last block updates that query and skips its token
-update. The decoder maps that encoding through independent MLP branches to
-K trajectory modes (per-step diagonal Gaussians) plus mode logits. The K
-branches are identically shaped, so they run as one MLP with the mode as a
-leading array axis. Each per-kind, per-head and per-mode weight family is
-stored as one stacked tensor; `named_parameters` yields its slices as views.
-Every family is in turn a view of one flat value buffer and one flat grad
-buffer, so the optimizer and the grad reset act on the whole model at once.
+its ego query, so its last block is declared query-only: it has no token
+FFN and updates that query alone. The decoder maps that encoding through
+independent MLP branches to K trajectory modes (per-step diagonal
+Gaussians) plus mode logits. The K branches are identically shaped, so
+they run as one MLP with the mode as a leading array axis. Each per-kind,
+per-head and per-mode weight family is stored as one stacked tensor;
+`named_parameters` yields its slices as views. Every family is in turn a
+view of one flat value buffer and one flat grad buffer, so the optimizer
+and the grad reset act on the whole model at once.
+Model files are version 2; a version-1 file, whose query-only blocks still
+carried a token FFN, is refused with a `ModelFormatError`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .numerics import Node, Parameter, Tape
 from .scene import CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, GoalConditioning, GoalLayout, Scene
 
 MODEL_MAGIC = b"MNMG"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 LOG_SIGMA_CLAMP = 5.0
 
 
@@ -78,8 +81,6 @@ class GolferConfig:
     position_scale: float = 10.0
     log_sigma_scale: float = 1.0
     interact_proj: bool = False
-    token_dim: int = TOKEN_DIM
-    ctx_dim: int = CTX_DIM
 
     def __post_init__(self):
         for f in fields(self):
@@ -93,6 +94,8 @@ class GolferConfig:
         self.decoder_hidden = tuple(self.decoder_hidden)
         if self.seed < 0:
             raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
+        if self.d_ff < 0:
+            raise ValueError(f"d_ff: expected a non-negative integer, got {self.d_ff}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
@@ -204,11 +207,15 @@ def _declare_params(config: GolferConfig) -> ModelParams:
     arena = nm.Arena()
     d, kinds = config.d, len(ELEMENT_KINDS)
 
-    def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False):
+    def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False,
+                     tokens_out: bool = True):
+        """A stack of query blocks; without `tokens_out` its last block is query-only."""
         return [declare_mnm_block(arena, d=d, heads=config.heads, d_ff=config.d_ff,
                                   mix_kind=MixKind.MAX_POOL, match_kind=match_kind,
                                   activation=config.activation, query_variant=True,
-                                  product_proj=product_proj) for _ in range(count)]
+                                  product_proj=product_proj,
+                                  update_tokens=tokens_out or i < count - 1)
+                for i in range(count)]
 
     def mlp(widths: list[int], lead: tuple[int, ...] = ()) -> _Mlp:
         shapes = list(zip(widths[:-1], widths[1:]))
@@ -216,15 +223,17 @@ def _declare_params(config: GolferConfig) -> ModelParams:
                     biases=[arena.param((*lead, fan_out)) for _, fan_out in shapes])
 
     families = dict(
-        token_w=arena.param((kinds, config.token_dim, d)),
+        token_w=arena.param((kinds, TOKEN_DIM, d)),
         token_b=arena.param((kinds, d)),
-        ctx_w=arena.param((kinds, config.ctx_dim, d)),
+        ctx_w=arena.param((kinds, CTX_DIM, d)),
         ctx_b=arena.param((kinds, d)),
         fe_blocks=query_blocks(config.fe_depth, MatchKind.CONCAT),
         null_road=arena.param((d,)),
         null_agent=arena.param((d,)),
-        road_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj),
-        agent_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj),
+        road_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj,
+                                   tokens_out=False),
+        agent_interact=query_blocks(config.interact_depth, MatchKind.PRODUCT, config.interact_proj,
+                                    tokens_out=False),
         fusion=mlp([3 * d, d, d]),
         decoder=mlp([d, *config.decoder_hidden, 4 * config.horizon], lead=(config.k_modes,)),
         cls_branch=mlp([d, *config.decoder_hidden, config.k_modes]),
@@ -242,8 +251,8 @@ def init_model_params(config: GolferConfig) -> ModelParams:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d = config.d
     for k in range(len(ELEMENT_KINDS)):  # kind by kind, token weight before context weight
-        params.token_w.value[k] = nm.uniform_init(rng, (config.token_dim, d), config.token_dim)
-        params.ctx_w.value[k] = nm.uniform_init(rng, (config.ctx_dim, d), config.ctx_dim)
+        params.token_w.value[k] = nm.uniform_init(rng, (TOKEN_DIM, d), TOKEN_DIM)
+        params.ctx_w.value[k] = nm.uniform_init(rng, (CTX_DIM, d), CTX_DIM)
     for block in params.fe_blocks:
         block.initialize(rng)
     params.null_road.value[...] = nm.uniform_init(rng, (d,), d)
@@ -309,12 +318,11 @@ def interact(tape: Tape, ego_latent: Node, latents: Node, segments: nm.Segments,
              blocks: list[MnMBlockParams]) -> Node:
     """Ego-conditioned set interaction: the (n,d) latents are the one segment
     of `segments`, whose query is the (1,d) ego latent; returns the final
-    (1,d) query. Only the query leaves the stack, so its last block updates
-    the query alone."""
+    (1,d) query. Only the query leaves the stack, so its last block is
+    query-only."""
     context = ego_latent
-    for depth, block in enumerate(blocks, start=1):
-        latents, context = mnm_query(tape, latents, context, segments, block,
-                                     update_tokens=depth < len(blocks))
+    for block in blocks:
+        latents, context = mnm_query(tape, latents, context, segments, block)
     return context
 
 
@@ -398,7 +406,7 @@ def save_params(params: ModelParams, path) -> None:
 _CONFIG_KEYS = {f.name for f in fields(GolferConfig)}
 
 
-def load_params(path, expected_config: GolferConfig | None = None, force: bool = False) -> ModelParams:
+def load_params(path) -> ModelParams:
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -426,10 +434,6 @@ def load_params(path, expected_config: GolferConfig | None = None, force: bool =
         config = GolferConfig(**raw_config)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad embedded config: {exc}") from None
-    if expected_config is not None and asdict(expected_config) != asdict(config) and not force:
-        raise ModelFormatError(
-            f"{path}: embedded config does not match the expected config (use force to override)"
-        )
 
     params = _declare_params(config)
     expected = list(params.named_parameters())

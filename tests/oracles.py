@@ -113,13 +113,16 @@ def ref_mnm_basic(block, x, mask):
 
 
 def ref_mnm_query(block, x, c, mask):
-    """S <- Match(C,X)+X; C' <- Mix(Norm(S)); X',C'' by residual FFNs."""
+    """S <- Match(C,X)+X; C' <- Mix(Norm(S)); X',C'' by residual FFNs. A
+    block without a token FFN (no w1) returns None for X'."""
     w = named_values(block)
     s = ref_match(block, c, x) + x
     s_mix = ref_layer_norm(s, w["norm_mix.gamma"], w["norm_mix.beta"])
     c_mix = ref_max_pool(s_mix, mask)
-    sn = ref_layer_norm(s, w["norm_ffn.gamma"], w["norm_ffn.beta"])
-    x_out = ref_act(sn @ w["w1"], block.activation) @ w["w2"] + s
+    x_out = None
+    if "w1" in w:
+        sn = ref_layer_norm(s, w["norm_ffn.gamma"], w["norm_ffn.beta"])
+        x_out = ref_act(sn @ w["w1"], block.activation) @ w["w2"] + s
     cn = ref_layer_norm(c_mix, w["norm_q.gamma"], w["norm_q.beta"])
     c_out = ref_act(cn @ w["w3"], block.activation) @ w["w4"] + c_mix
     return x_out, c_out

@@ -409,6 +409,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("key, value", [
         ("d", 16.0), ("seed", -1), ("heads", True), ("k_modes", "3"), ("decoder_hidden", [16.5]),
         ("position_scale", "10"), ("log_sigma_scale", float("nan")), ("interact_proj", 1),
+        ("d_ff", -5),
     ])
     def test_mistyped_embedded_model_config_value_is_named(self, tmp_path, tiny_config, capsys,
                                                            key, value):

@@ -200,17 +200,30 @@ class TestQueryBlock:
 
 
     def test_unread_tokens_are_skipped_and_the_query_is_unchanged(self):
-        block = _block(14, match_kind=MatchKind.PRODUCT, query=True, product_proj=True)
+        """A query-only block declared from the same rng as a full one holds
+        the full block's weights bit for bit, less its token FFN, and gives
+        the same query."""
+        options = dict(match_kind=MatchKind.PRODUCT, query=True, product_proj=True)
+        block = _block(14, **options)
+        query_block = _block(14, update_tokens=False, **options)
+        kept = {name: p.value.tobytes() for name, p in block.named_parameters()
+                if name not in ("w1", "w2")}
+        assert {name: p.value.tobytes() for name, p in query_block.named_parameters()} == kept
         x, c = _rng(15).normal(size=(5, 8)), _rng(16).normal(size=(2, 8))
         segments = nm.Segments([0, 0, 1, 1, 1], 2)
         full, query_only = Tape(), Tape()
         _, c_full = mnm_query(full, full.constant(x), full.constant(c), segments, block)
         x_out, c_out = mnm_query(query_only, query_only.constant(x), query_only.constant(c),
-                                 segments, block, update_tokens=False)
+                                 segments, query_block)
         assert x_out is None
         assert c_out.value.tobytes() == c_full.value.tobytes()
         # The token norm, both FFN matmuls, the activation and the residual add.
         assert len(full._steps) - len(query_only._steps) == 5
+        exp_x, exp_c = ref_mnm_query(query_block, x[:2], c[0], np.ones(2, dtype=bool))
+        assert exp_x is None
+        np.testing.assert_allclose(c_out.value[0], exp_c, atol=1e-12)
+        with pytest.raises(ValueError, match="query-variant"):
+            _block(14, update_tokens=False)
 
 
 class TestMultiHead:
