@@ -210,6 +210,13 @@ def _cmd_gradcheck(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: numpy's seed streams take only non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="golfer",
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", required=out_required, help="output path")
         if seed:
-            p.add_argument("--seed", type=int, help="override the command's seed")
+            p.add_argument("--seed", type=_seed, help="override the command's seed")
 
     p = sub.add_parser("generate-data", help="write a synthetic dataset file")
     common(p, out=True, seed=True)

@@ -69,7 +69,7 @@ _SECTIONS = {"data": GeneratorConfig, "model": GolferConfig, "train": TrainConfi
 # range check or None). Declaration order is the echo order; a range's max key
 # directly follows its min key. Physical bounds keep the generator finite.
 _KEYS = {
-    "data.seed": ("data", "seed", None, _parse_int, None),
+    "data.seed": ("data", "seed", None, _parse_int, lambda v: v >= 0),
     "data.num_scenes": ("", "num_scenes", None, _parse_int, lambda v: v >= 1),
     "data.num_roads_min": ("data", "num_roads", 0, _parse_int, lambda v: v >= 1),
     "data.num_roads_max": ("data", "num_roads", 1, _parse_int, None),
@@ -101,9 +101,9 @@ _KEYS = {
     "train.lr": ("train", "lr", None, _parse_float, lambda v: v > 0),
     "train.lambda": ("train", "lam", None, _parse_float, lambda v: v >= 0),
     "train.mask_ratio": ("train", "mask_ratio", None, _parse_float, lambda v: 0.0 <= v <= 1.0),
-    "train.seed": ("train", "seed", None, _parse_int, None),
+    "train.seed": ("train", "seed", None, _parse_int, lambda v: v >= 0),
     "ensemble.k": ("", "ensemble_k", None, _parse_int, lambda v: v >= 1),
-    "ensemble.seed": ("", "ensemble_seed", None, _parse_int, None),
+    "ensemble.seed": ("", "ensemble_seed", None, _parse_int, lambda v: v >= 0),
     "metrics.threshold_m": ("", "threshold_m", None, _parse_float, lambda v: v > 0),
 }
 

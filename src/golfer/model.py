@@ -6,14 +6,14 @@ interacts with the road latents and with the agent latents through
 product-match blocks, and a fusion MLP over [f_E, f_R, f_A] yields the scene
 encoding. The FE stack runs once per scene, over the valid token rows of all
 its elements packed into one matrix. Each scene packs its valid elements
-once, on first use (`Scene.pack`: token rows, kinds, counts, contexts and
-the road/agent split), and is read-only from then on. The pack keeps one
-`GoalLayout` per goal placement and horizon, built on first use: the
-kinds, counts and contexts with the goal's spliced in, the FE segment plan
+once, on first use (`Scene.pack`): their token rows and one `GoalLayout`
+per goal placement and horizon, or none, each built once and kept: the
+kinds, counts and contexts, the road/agent split, the FE segment plan
 that every FE block reuses and each interaction set's plan. A forward
 builds only what depends on the goal conditioning: the goal's token rows,
-one splice of them into the scene's, and the kind-slot matrices its token
-and context projections multiply. Each interaction stack returns only
+one splice of them into the scene's, each row's kind (its element's,
+through the segment plan) and the kind-slot matrices its token and context
+projections multiply. Each interaction stack returns only
 its ego query, so its last block is declared query-only: it has no token
 FFN and updates that query alone. The decoder maps that encoding through
 independent MLP branches to K trajectory modes (per-step diagonal
@@ -23,8 +23,8 @@ per-head and per-mode weight family is stored as one stacked tensor;
 `named_parameters` yields its slices as views. Every family is in turn a
 view of one flat value buffer and one flat grad buffer, so the optimizer
 and the grad reset act on the whole model at once.
-Model files are version 2; a version-1 file, whose query-only blocks still
-carried a token FFN, is refused with a `ModelFormatError`.
+Model files are version 2; a file of another version is refused with a
+`ModelFormatError`.
 """
 
 from __future__ import annotations
@@ -88,28 +88,23 @@ class GolferConfig:
             value = getattr(self, f.name)
             if check is not None and not check(value):
                 raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
-        if not isinstance(self.decoder_hidden, (tuple, list)) or not all(
-                _is_int(w) for w in self.decoder_hidden):
-            raise ValueError(f"decoder_hidden: expected integers, got {self.decoder_hidden!r}")
-        self.decoder_hidden = tuple(self.decoder_hidden)
-        if self.seed < 0:
-            raise ValueError(f"seed: expected a non-negative integer, got {self.seed}")
-        if self.d_ff < 0:
-            raise ValueError(f"d_ff: expected a non-negative integer, got {self.d_ff}")
+        widths = self.decoder_hidden
+        if not isinstance(widths, (tuple, list)) or not all(_is_int(w) and w >= 1 for w in widths):
+            raise ValueError(f"decoder_hidden: expected positive integers, got {widths!r}")
+        self.decoder_hidden = tuple(widths)
+        for name, value in (("seed", self.seed), ("d_ff", self.d_ff)):
+            if value < 0:
+                raise ValueError(f"{name}: expected a non-negative integer, got {value}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
-        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
-            raise ValueError(f"latent width {self.d} must be a positive multiple of heads {self.heads}")
-        if any(w < 1 for w in self.decoder_hidden):
-            raise ValueError(f"decoder_hidden widths {self.decoder_hidden} must all be >= 1")
-        if self.k_modes < 1 or self.horizon < 1:
-            raise ValueError("k_modes and horizon must be >= 1")
-        if self.fe_depth < 1 or self.interact_depth < 1:
-            raise ValueError("fe_depth and interact_depth must be >= 1")
+        for name in ("d", "k_modes", "horizon", "fe_depth", "interact_depth", "position_scale",
+                     "log_sigma_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.heads < 1 or self.d % self.heads != 0:
+            raise ValueError(f"heads: {self.heads} must be a positive divisor of d={self.d}")
         if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.position_scale <= 0 or self.log_sigma_scale <= 0:
-            raise ValueError("position_scale and log_sigma_scale must be positive")
+            raise ValueError(f"activation: unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -306,8 +301,9 @@ def encode_element(tape: Tape, layout: GoalLayout, tokens: np.ndarray, params: M
     """Encode a layout's E elements in one FE pass over their (N, TOKEN_DIM)
     valid token rows (invalid rows are dropped, not padded) -> (E,d) latents.
     The layout's segment plan is shared by every FE block and the final
-    pooling."""
-    tokens = _kind_rows(tape, params.token_w, params.token_b, layout.row_kinds, tokens)
+    pooling; its ids give each row's element, whose kind projects the row."""
+    row_kinds = layout.kinds[layout.segments.ids]
+    tokens = _kind_rows(tape, params.token_w, params.token_b, row_kinds, tokens)
     context = _kind_rows(tape, params.ctx_w, params.ctx_b, layout.kinds, layout.contexts)
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, layout.segments, block)

@@ -12,17 +12,20 @@ Token layout (TOKEN_DIM columns):
 Context vectors start with a one-hot element-kind tag; road and agent
 contexts additionally carry a scaled curvature / speed feature.
 
-A scene packs its valid elements once (`Scene.pack`), and the pack keeps
-one `GoalLayout` per goal placement and horizon: everything a forward reads
-besides the token rows, which `ElementPack.splice_goal` builds per forward
-from the pack's rows and the goal's.
+Scenes and elements are frozen: no field can be reassigned. A scene packs
+its valid elements once (`Scene.pack`) into their token rows and their
+`GoalLayout`s, everything else a forward reads. The layout without a goal
+is built with the pack and holds the elements' kinds, counts and contexts;
+the layout of each goal placement and horizon is spliced into it on first
+use and kept. `ElementPack.splice_goal` returns a goal's layout and the
+pack's rows with the goal's spliced in.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -62,7 +65,7 @@ def _owned(values, dtype) -> np.ndarray:
     return array if array.flags.owndata else array.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneElement:
     kind: str
     tokens: np.ndarray  # (P, TOKEN_DIM)
@@ -70,9 +73,8 @@ class SceneElement:
     context: np.ndarray  # (CTX_DIM,)
 
     def __post_init__(self):
-        self.tokens = _owned(self.tokens, np.float64)
-        self.mask = _owned(self.mask, bool)
-        self.context = _owned(self.context, np.float64)
+        for name, dtype in (("tokens", np.float64), ("mask", bool), ("context", np.float64)):
+            object.__setattr__(self, name, _owned(getattr(self, name), dtype))
         if self.kind not in _KIND_TAG:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if self.tokens.ndim != 2 or self.tokens.shape[1] != TOKEN_DIM:
@@ -84,10 +86,6 @@ class SceneElement:
         if not np.isfinite(self.tokens).all() or not np.isfinite(self.context).all():
             raise ValueError("element features must be finite")
 
-    @property
-    def num_valid(self) -> int:
-        return int(self.mask.sum())
-
 
 def _frozen(*arrays: np.ndarray) -> None:
     for array in arrays:
@@ -97,13 +95,13 @@ def _frozen(*arrays: np.ndarray) -> None:
 @dataclass(frozen=True, slots=True)
 class GoalLayout:
     """Everything a forward reads of a pack except its token rows, for one
-    goal placement and horizon or for no goal: the row kinds, kinds, counts
-    and contexts with the goal's spliced in, the road/agent split, the goal's
-    first row, the FE segment plan and each interaction set's one-segment
-    plan (None for an empty set, which reads a null latent instead). It
-    holds no token rows and no kind-slot matrix."""
+    goal placement and horizon or for no goal: the kinds, counts and
+    contexts of the elements, the goal's among them, the road/agent split,
+    the goal's first row, the FE segment plan, whose `ids` give each row's
+    element, and each interaction set's one-segment plan (None for an empty
+    set, which reads a null latent instead). It holds no token rows and no
+    kind-slot matrix."""
 
-    row_kinds: np.ndarray  # (N,)
     kinds: np.ndarray  # (E,)
     counts: np.ndarray  # (E,)
     contexts: np.ndarray  # (E, CTX_DIM)
@@ -125,50 +123,42 @@ def _set_plan(size: int) -> Segments | None:
     return plan
 
 
-def build_layout(pack: ElementPack, key: tuple[str, int] | None) -> GoalLayout:
-    """The pack's layout for a goal keyed by its (placement, horizon): its
-    horizon rows spliced in as the pack's last road (roads placement) or its
-    last agent; for the key None, the layout without a goal."""
-    row_kinds, kinds, counts, contexts = pack.row_kinds, pack.kinds, pack.counts, pack.contexts
-    num_roads, row = pack.num_roads, None
-    if key is not None:
-        placement, horizon = key
-        on_roads = placement == PLACE_ROADS
-        at = 1 + num_roads if on_roads else kinds.size
-        row = int(counts[:at].sum())
-        kind = _KIND_TAG[KIND_GOAL]
-
-        def splice(a, b, index):
-            return np.concatenate((a[:index], b, a[index:]))
-
-        row_kinds = splice(row_kinds, np.full(horizon, kind), row)
-        kinds = splice(kinds, (kind,), at)
-        counts = splice(counts, (horizon,), at)
-        contexts = splice(contexts, _GOAL_CONTEXT[None], at)
-        num_roads += on_roads
+def _layout(kinds, counts, contexts, num_roads: int, goal_row: int | None = None) -> GoalLayout:
+    """A read-only layout of these elements, with its segment and set plans."""
     segments = Segments.from_counts(counts)
-    _frozen(row_kinds, kinds, counts, contexts, segments.ids, segments.starts)
-    return GoalLayout(row_kinds=row_kinds, kinds=kinds, counts=counts, contexts=contexts,
-                      num_roads=num_roads, goal_row=row, segments=segments,
-                      road_set=_set_plan(num_roads), agent_set=_set_plan(kinds.size - 1 - num_roads))
+    _frozen(kinds, counts, contexts, segments.ids, segments.starts)
+    return GoalLayout(kinds=kinds, counts=counts, contexts=contexts, num_roads=num_roads,
+                      goal_row=goal_row, segments=segments, road_set=_set_plan(num_roads),
+                      agent_set=_set_plan(kinds.size - 1 - num_roads))
+
+
+def build_layout(base: GoalLayout, key: tuple[str, int]) -> GoalLayout:
+    """The layout of a goal keyed by its (placement, horizon), spliced into
+    the no-goal layout `base`: its horizon rows as the last road (roads
+    placement) or the last agent."""
+    placement, horizon = key
+    on_roads = placement == PLACE_ROADS
+    at = 1 + base.num_roads if on_roads else base.kinds.size
+
+    def splice(a, b):
+        return np.concatenate((a[:at], b, a[at:]))
+
+    return _layout(splice(base.kinds, (_KIND_TAG[KIND_GOAL],)), splice(base.counts, (horizon,)),
+                   splice(base.contexts, _GOAL_CONTEXT[None]), base.num_roads + on_roads,
+                   goal_row=int(base.counts[:at].sum()))
 
 
 @dataclass(frozen=True)
 class ElementPack:
     """Elements' valid token rows packed in element order, as the FE stack
-    reads them; an element's kind is its index in ELEMENT_KINDS.
-
-    A scene's pack holds its ego, then its roads, then its agents, and
-    `num_roads` splits the roads from the agents. Its `GoalLayout`s, one per
-    goal placement and horizon, are built on first use and kept."""
+    reads them, and their `GoalLayout`s keyed by goal (placement, horizon).
+    The layout keyed None, without a goal, is built with the pack, and each
+    goal's is spliced into it on first use and kept. An element's kind is
+    its index in ELEMENT_KINDS. A scene's pack holds its ego, then its
+    roads, then its agents; a layout's `num_roads` splits the two sets."""
 
     tokens: np.ndarray  # (N, TOKEN_DIM) valid rows, element after element
-    row_kinds: np.ndarray  # (N,) each row's element kind
-    kinds: np.ndarray  # (E,)
-    counts: np.ndarray  # (E,) valid rows per element, each >= 1
-    contexts: np.ndarray  # (E, CTX_DIM)
-    num_roads: int = 0
-    layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    layouts: dict  # goal (placement, horizon) or None -> GoalLayout
 
     def splice_goal(self, gc: GoalConditioning | None) -> tuple[GoalLayout, np.ndarray]:
         """The kept layout of gc's (placement, horizon), built on first use,
@@ -176,34 +166,33 @@ class ElementPack:
         goal row; without a goal, the layout keyed None and the pack's rows.
         A layout is keyed by those two values, not by `gc`, which changes
         from forward to forward."""
-        key = None if gc is None else (gc.placement, gc.horizon)
+        if gc is None:
+            return self.layouts[None], self.tokens
+        key = (gc.placement, gc.horizon)
         layout = self.layouts.get(key)
         if layout is None:
-            layout = self.layouts[key] = build_layout(self, key)
-        if gc is None:
-            return layout, self.tokens
+            layout = self.layouts[key] = build_layout(self.layouts[None], key)
         row = layout.goal_row
         return layout, np.concatenate((self.tokens[:row], goal_tokens(gc), self.tokens[row:]))
 
 
 def pack_elements(elements: list[SceneElement], num_roads: int = 0) -> ElementPack:
-    """Pack each element's valid token rows, in order; an element with no
-    valid row cannot be encoded."""
-    counts = np.array([e.num_valid for e in elements], dtype=np.intp)
+    """Pack each element's valid token rows, in order, with the no-goal
+    layout; an element with no valid row cannot be encoded."""
+    counts = np.array([e.mask.sum() for e in elements], dtype=np.intp)
     if counts.size == 0 or not counts.all():
         raise EmptySetError("cannot encode an element with no valid tokens")
-    kinds = np.array([_KIND_TAG[e.kind] for e in elements], dtype=np.intp)
-    pack = ElementPack(tokens=np.concatenate([e.tokens[e.mask] for e in elements]),
-                       row_kinds=np.repeat(kinds, counts), kinds=kinds, counts=counts,
-                       contexts=np.stack([e.context for e in elements]), num_roads=num_roads)
-    _frozen(pack.tokens, pack.row_kinds, kinds, counts, pack.contexts)
-    return pack
+    tokens = np.concatenate([e.tokens[e.mask] for e in elements])
+    _frozen(tokens)
+    base = _layout(np.array([_KIND_TAG[e.kind] for e in elements], dtype=np.intp), counts,
+                   np.stack([e.context for e in elements]), num_roads)
+    return ElementPack(tokens=tokens, layouts={None: base})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
-    """A scene's elements, kept as tuples so that its pack cannot go stale
-    through them; once packed, its element fields cannot be reassigned."""
+    """A scene's elements. No field can be reassigned, and the element sets
+    are tuples, so its pack cannot go stale through them."""
 
     ego: SceneElement
     agents: tuple[SceneElement, ...]
@@ -211,16 +200,11 @@ class Scene:
     future: np.ndarray  # (T, 2) ground-truth ego positions, meters
     future_mask: np.ndarray  # (T,) bool
 
-    def __setattr__(self, name, value):
-        if name in ("ego", "agents", "roads") and "pack" in self.__dict__:
-            raise AttributeError(f"cannot set {name} of a packed scene")
-        super().__setattr__(name, value)
-
     def __post_init__(self):
-        self.agents = tuple(self.agents)
-        self.roads = tuple(self.roads)
-        self.future = np.asarray(self.future, dtype=np.float64)
-        self.future_mask = np.asarray(self.future_mask, dtype=bool)
+        object.__setattr__(self, "agents", tuple(self.agents))
+        object.__setattr__(self, "roads", tuple(self.roads))
+        object.__setattr__(self, "future", np.asarray(self.future, dtype=np.float64))
+        object.__setattr__(self, "future_mask", np.asarray(self.future_mask, dtype=bool))
         if self.future.ndim != 2 or self.future.shape[1] != 2:
             raise ValueError(f"future must be (T,2), got {self.future.shape}")
         if self.future_mask.shape != (self.future.shape[0],):
@@ -241,8 +225,7 @@ class Scene:
         write raises instead of leaving the pack stale; `future` and
         `future_mask` are not packed and stay writable."""
         for e in (self.ego, *self.roads, *self.agents):
-            for array in (e.tokens, e.mask, e.context):
-                array.flags.writeable = False
+            _frozen(e.tokens, e.mask, e.context)
         roads = [e for e in self.roads if e.mask.any()]
         agents = [e for e in self.agents if e.mask.any()]
         return pack_elements([self.ego, *roads, *agents], num_roads=len(roads))
@@ -379,12 +362,12 @@ class GeneratorConfig:
             lo, hi = getattr(self, name)
             if hi < lo:
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty")
-        if self.num_roads[0] < 1:
-            raise ValueError("need at least one road")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.points_per_polyline < 2 or self.history_steps < 2:
-            raise ValueError("polylines and histories need at least two points")
+        # Each count's least value; a range is checked at its low end.
+        for name, least in (("seed", 0), ("num_roads", 1), ("num_agents", 0), ("horizon", 1),
+                            ("points_per_polyline", 2), ("history_steps", 2)):
+            value = getattr(self, name)
+            if (value[0] if isinstance(value, tuple) else value) < least:
+                raise ValueError(f"{name} {value} is below {least}")
         for name, within in GENERATOR_BOUNDS.items():
             value = getattr(self, name)
             if not all(map(within, value if isinstance(value, tuple) else (value,))):
@@ -547,6 +530,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
 
 def generate_dataset(cfg: GeneratorConfig, count: int) -> list[Scene]:
     """Deterministic batch: scene i draws from its own child seed stream."""
+    cfg.validate()
     children = np.random.SeedSequence(cfg.seed).spawn(count)
     return [generate_synthetic_scene(cfg, np.random.Generator(np.random.PCG64(c))) for c in children]
 

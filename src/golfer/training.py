@@ -238,6 +238,15 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    def validate(self) -> None:
+        """Raise naming the first field that training cannot run with."""
+        for name, usable in (("epochs", self.epochs >= 1), ("seed", self.seed >= 0),
+                             ("lr", 0 < self.lr < math.inf), ("beta1", 0 <= self.beta1 < 1),
+                             ("beta2", 0 <= self.beta2 < 1),
+                             ("epsilon", 0 < self.epsilon < math.inf)):
+            if not usable:
+                raise ValueError(f"{name}: value {getattr(self, name)} out of range")
+
 
 @dataclass
 class TraceRecord:
@@ -272,6 +281,7 @@ def train(
             raise EmptySetError(f"scene {index} has no valid future step to train on")
         if scene.horizon != horizon:
             raise ValueError(f"scene {index} has horizon {scene.horizon}, the model's is {horizon}")
+    train_config.validate()
     if params is None:
         params = init_model_params(model_config)
     state = AdamState.create(params.values.size, train_config)

@@ -155,6 +155,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"model\.seed: value -1 out of range"):
             parse_config_text("model.seed=-1")
 
+    @pytest.mark.parametrize("key", ["data.seed", "train.seed", "ensemble.seed"])
+    def test_negative_seed_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: value -1 out of range"):
+            parse_config_text(f"{key}=-1")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key data.fog"):
             parse_config_text("data.fog=1")
@@ -267,6 +272,18 @@ class TestCliPipeline:
         assert main(["generate-data", "--config", tiny_config, "--out", b, "--seed", "7"]) == 0
         assert open(a, "rb").read() != open(b, "rb").read()
 
+    def test_ensemble_seed_flag_overrides_the_config(self, tmp_path, tiny_config, capsys):
+        data = str(tmp_path / "scenes.jsonl")
+        models = [str(tmp_path / "a.mnmg"), str(tmp_path / "b.mnmg")]
+        assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        for seed, model in enumerate(models):
+            assert main(["train", "--config", tiny_config, "--data", data, "--out", model,
+                         "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert main(["ensemble", "--config", tiny_config, "--data", data, "--model", models[0],
+                     "--model", models[1], "--seed", "11"]) == 0
+        assert "ensemble.seed=11" in capsys.readouterr().out.splitlines()
+
     def test_echoed_config_reparses_to_the_same_effective_config(self, tiny_config, capsys, tmp_path):
         data = str(tmp_path / "d.jsonl")
         assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0
@@ -311,6 +328,25 @@ class TestCliErrors:
             assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
             assert f"{key}: value" in err and "out of range" in err and "Traceback" not in err
+
+    def test_empty_config_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("data.num_roads_min=5\ndata.num_roads_max=4\n")
+        assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "data.num_roads_max: range (5, 4) is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate-data", "train", "ensemble"])
+    @pytest.mark.parametrize("seed", ["-1", "seven"])
+    def test_a_seed_flag_that_is_not_a_non_negative_integer_exits_2(self, tmp_path, capsys,
+                                                                    command, seed):
+        files = {"generate-data": [], "train": ["--data", "d"],
+                 "ensemble": ["--data", "d", "--model", "m"]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *files, "--out", str(tmp_path / "x"), "--seed", seed])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
 
     def test_scene_without_a_valid_future_step_exits_1(self, tmp_path, tiny_config, capsys):
         data = str(tmp_path / "scenes.jsonl")
@@ -409,7 +445,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("key, value", [
         ("d", 16.0), ("seed", -1), ("heads", True), ("k_modes", "3"), ("decoder_hidden", [16.5]),
         ("position_scale", "10"), ("log_sigma_scale", float("nan")), ("interact_proj", 1),
-        ("d_ff", -5),
+        ("d_ff", -5), ("horizon", 0), ("interact_depth", 0), ("log_sigma_scale", 0.0),
+        ("heads", 3), ("d", 0),
     ])
     def test_mistyped_embedded_model_config_value_is_named(self, tmp_path, tiny_config, capsys,
                                                            key, value):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from golfer import ensemble
 from golfer.ensemble import (
     DegenerateInputError,
     WeightedTrajectorySet,
@@ -94,6 +97,23 @@ class TestWeightedKmeans:
         b = weighted_kmeans(ts, 4, _rng(9))
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.probs.tobytes() == b.probs.tobytes()
+
+    def test_an_emptied_cluster_restarts_at_the_farthest_weighted_point(self):
+        # Both seeds lie far left of every point, so all points join cluster 0
+        # and cluster 1 empties. Weighted by 5, (0,0) is the farthest point and
+        # restarts cluster 1; then every point joins cluster 1, and cluster 0
+        # restarts at (10,0), the farthest from it. Unweighted, (10,0) would
+        # restart cluster 1 first and the centroids would come out swapped.
+        points = WeightedTrajectorySet(trajectories=[[[0.0, 0.0]], [[1.0, 0.0]], [[10.0, 0.0]]],
+                                       weights=[5.0, 1.0, 1.0])
+        far = np.array([[-1000.0, 0.0], [-2000.0, 0.0]])
+        with mock.patch.object(ensemble, "_kmeanspp_init", return_value=far.copy()):
+            out = weighted_kmeans(points, 2, _rng(0))
+        assert np.isfinite(out.centroids).all() and np.isfinite(out.probs).all()
+        np.testing.assert_allclose(out.centroids[:, 0], [[10.0, 0.0], [1.0 / 6.0, 0.0]],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.probs, [1.0 / 7.0, 6.0 / 7.0], rtol=0, atol=1e-15)
+        assert out.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_too_few_points_is_an_error(self):
         with pytest.raises(DegenerateInputError, match="clusters"):

@@ -390,8 +390,8 @@ class TestScenePack:
                         "ids": np.array(ref["ids"], dtype=np.intp),
                         "starts": np.array(ref["starts"], dtype=np.intp)}
             got = {"tokens": tokens, "ids": layout.segments.ids, "starts": layout.segments.starts,
-                   **{name: getattr(layout, name) for name in
-                      ("row_kinds", "kinds", "counts", "contexts")}}
+                   "row_kinds": layout.kinds[layout.segments.ids],
+                   **{name: getattr(layout, name) for name in ("kinds", "counts", "contexts")}}
             for name, want in expected.items():
                 assert got[name].dtype == want.dtype and got[name].shape == want.shape, name
                 assert got[name].tobytes() == want.tobytes(), name
@@ -452,13 +452,14 @@ class TestScenePack:
         params = init_model_params(TINY)
         scene = _scene(33)
         rng = _rng(34)
+        base = scene.pack.layouts[None]  # built with the pack
         with mock.patch.object(scene_module, "build_layout", wraps=build_layout) as building:
             for _ in range(3):
                 for placement in ("agents", "roads"):
                     gc = apply_goal_masking(scene.future, rng, 0.5, scene.future_mask)
                     forward(scene, replace(gc, placement=placement), params)
                 forward(scene, None, params)
-        assert building.call_count == 3
+        assert building.call_count == 2 and scene.pack.layouts[None] is base
         assert scene.pack.layouts.keys() == {None, ("agents", 4), ("roads", 4)}
         for layout in scene.pack.layouts.values():
             elements = layout.kinds.size
@@ -478,14 +479,14 @@ class TestScenePack:
         for gc in (prediction_conditioning(4), short, replace(short, placement="roads")):
             layout, tokens = scene.pack.splice_goal(gc)
             assert layout.counts[layout.kinds == 3].tolist() == [gc.horizon]
-            assert layout.row_kinds.size == tokens.shape[0] == scene.pack.tokens.shape[0] + gc.horizon
+            assert layout.segments.ids.size == tokens.shape[0] == scene.pack.tokens.shape[0] + gc.horizon
             goal = encode_goal_element(gc)
             roads, agents = ref_scene_sets(scene, goal, gc.placement)
             fresh = Scene(ego=scene.ego, roads=roads, agents=agents, future=scene.future,
                           future_mask=scene.future_mask)
             assert (encode_scene(Tape(), scene, params, gc).value
                     == encode_scene(Tape(), fresh, params).value).all()
-        assert len(scene.pack.layouts) == 3
+        assert scene.pack.layouts.keys() == {None, ("agents", 4), ("agents", 3), ("roads", 3)}
 
     def test_a_packed_scene_s_element_sets_cannot_change(self):
         params = init_model_params(TINY)
@@ -497,7 +498,7 @@ class TestScenePack:
         with pytest.raises(AttributeError):
             scene.agents.clear()
         for name in ("ego", "roads", "agents"):
-            with pytest.raises(AttributeError, match="packed scene"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(scene, name, getattr(scene, name))
         assert (len(scene.roads), len(scene.agents)) == (2, 2)
         assert (forward(scene, gc, params).means == first.means).all()
@@ -526,6 +527,19 @@ class TestScenePack:
                     getattr(element, name)[0] = 0
         scene.future[0, 0] += 1.0
         scene.future_mask[0] = False
+
+    def test_no_field_of_a_packed_scene_or_its_elements_can_be_reassigned(self):
+        params = init_model_params(TINY)
+        scene = _scene(38)
+        first = forward(scene, prediction_conditioning(4), params)
+        for element in (scene.ego, scene.roads[0], scene.agents[1]):
+            for name in ("tokens", "mask", "context"):
+                with pytest.raises(AttributeError):
+                    setattr(element, name, getattr(element, name).copy())
+        for name in ("ego", "roads", "agents"):
+            with pytest.raises(AttributeError):
+                setattr(scene, name, getattr(scene, name))
+        assert (forward(scene, prediction_conditioning(4), params).means == first.means).all()
 
 
 WIDE = GolferConfig(d=48, heads=4, fe_depth=1, interact_depth=1, k_modes=3, horizon=4,

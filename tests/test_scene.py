@@ -226,6 +226,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"^{field} .* beyond its physical bound"):
             generate_dataset(GeneratorConfig(**{field: value}), 2)
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("num_agents", (-3, -1))])
+    def test_a_negative_seed_or_count_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            generate_dataset(GeneratorConfig(**{field: value}), 2)
+
 
 class TestDatasetIO:
     def test_round_trip_is_exact(self, tmp_path):

@@ -489,6 +489,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="scene 2 has horizon 8"):
             train(scenes, TINY_MODEL, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0),
+        ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0), ("seed", -1),
+    ])
+    def test_an_unusable_train_config_is_named_before_step_0(self, field, value):
+        scenes = generate_dataset(GeneratorConfig(seed=28), 2)
+        params = init_model_params(TINY_MODEL)
+        before = params.values.copy()
+        with pytest.raises(ValueError, match=f"^{field}: value {value} out of range$"):
+            train(scenes, TINY_MODEL, TrainConfig(**{"epochs": 1, field: value}), params=params)
+        assert params.values.tobytes() == before.tobytes() and not params.grads.any()
+
     def test_scenes_with_one_valid_step_train(self):
         # At mask ratio 0 every step survives the coin, so a goal that could
         # land on the lone valid step would leave no step to score.
