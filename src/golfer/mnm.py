@@ -277,7 +277,7 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
         matched = _merge_heads(match(params.match, attn, _split_heads(x, params.heads)))
     else:
         pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))
-        rows = nm.take_rows(pooled, np.zeros(x.value.shape[0], dtype=int))
+        rows = nm.take_rows(pooled, nm.one_segment(x.value.shape[0]))
         matched = _match_rows(tape, params, rows, x)
     s = nm.add(matched, x)
     sn = nm.layer_norm(s, tape.watch(params.norm_ffn_gamma), tape.watch(params.norm_ffn_beta),

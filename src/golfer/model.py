@@ -23,6 +23,12 @@ per-head and per-mode weight family is stored as one stacked tensor;
 `named_parameters` yields its slices as views. Every family is in turn a
 view of one flat value buffer and one flat grad buffer, so the optimizer
 and the grad reset act on the whole model at once.
+The encoder is a pipeline of three stages (FE latents, interaction,
+fusion), and each stage's weights sit in the arena after those of every
+stage that feeds it. So the finite-difference probes of one
+`numerics.gradient_check`, which share a probe memo, rerun only the
+stages from the perturbed parameter's on (`encode_scene`); every other
+forward carries no memo and runs them all.
 Model files are version 2; a file of another version is refused with a
 `ModelFormatError`.
 """
@@ -293,10 +299,6 @@ def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
                   nm.take_rows(tape.watch(b), kinds))
 
 
-# The plan of an empty set's one null latent.
-_NULL_SET = nm.Segments.from_counts([1])
-
-
 def encode_element(tape: Tape, layout: GoalLayout, tokens: np.ndarray, params: ModelParams) -> Node:
     """Encode a layout's E elements in one FE pass over their (N, TOKEN_DIM)
     valid token rows (invalid rows are dropped, not padded) -> (E,d) latents.
@@ -322,18 +324,22 @@ def interact(tape: Tape, ego_latent: Node, latents: Node, segments: nm.Segments,
     return context
 
 
-def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
-                 gc: GoalConditioning | None = None) -> Node:
-    """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent.
-    f_E and the set latents are rows of one `encode_element` call over the
-    scene's pack, with the goal's rows spliced in at its placement; the
-    plans come from the pack's kept layout for that placement."""
+# The encoder's stages, in the order their parameters sit in the arena; each
+# maps (tape, params, *previous stage's outputs) to a tuple of outputs.
+
+
+def _fe_stage(tape: Tape, params: ModelParams, scene: Scene, gc: GoalConditioning | None):
+    """The layout of gc's placement and the (E,d) latents of its elements."""
     layout, tokens = scene.pack.splice_goal(gc)
-    latents = encode_element(tape, layout, tokens, params)
+    return layout, encode_element(tape, layout, tokens, params)
+
+
+def _interaction_stage(tape: Tape, params: ModelParams, layout: GoalLayout, latents: Node):
+    """f_E, f_R and f_A, each (1,d); an empty set reads its null latent."""
 
     def set_latents(start: int, plan: nm.Segments | None, null: Parameter):
         if plan is None:
-            return nm.reshape(tape.watch(null), (1, params.config.d)), _NULL_SET
+            return nm.reshape(tape.watch(null), (1, params.config.d)), nm.one_segment(1)
         return nm.take_rows(latents, slice(start, start + plan.ids.size)), plan
 
     f_ego = nm.take_rows(latents, slice(0, 1))
@@ -341,16 +347,86 @@ def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
                       params.road_interact)
     f_agent = interact(tape, f_ego, *set_latents(1 + layout.num_roads, layout.agent_set,
                                                  params.null_agent), params.agent_interact)
+    return f_ego, f_road, f_agent
+
+
+def _fusion_stage(tape: Tape, params: ModelParams, f_ego: Node, f_road: Node, f_agent: Node):
     fused_in = nm.concat_last(nm.concat_last(f_ego, f_road), f_agent)
-    return _run_mlp(_watched_layers(tape, params.fusion), nm.reshape(fused_in, (-1,)),
-                    params.config.activation)
+    return (_run_mlp(_watched_layers(tape, params.fusion), nm.reshape(fused_in, (-1,)),
+                     params.config.activation),)
+
+
+_STAGES = (_fe_stage, _interaction_stage, _fusion_stage)
+
+
+class _EncoderMemo:
+    """What `encode_scene` keeps in a probe memo: the scene, conditioning and
+    parameters it last ran on, a copy of the parameter arena as it read it,
+    and the outputs of its first stages, each valid for that copy. Stage k
+    reads the arena only below `bounds[k]`, the offset of the next stage's
+    first parameter."""
+
+    __slots__ = ("scene", "gc", "params", "values", "bounds", "outputs")
+
+    def __init__(self, scene: Scene, gc: GoalConditioning | None, params: ModelParams):
+        self.scene, self.gc, self.params = scene, gc, params
+        self.values = params.values.copy()
+        base = params.values.ctypes.data
+        self.bounds = [(p.value.ctypes.data - base) // p.value.itemsize
+                       for p in (params.null_road, params.fusion.weights[0],
+                                 params.decoder.weights[0])]
+        self.outputs: list[tuple] = []
+
+    def kept_outputs(self) -> list[tuple]:
+        """The kept outputs of the stages whose parameters are bitwise what
+        they read; later ones are dropped, and the copy takes the arena's
+        present bits. Compared as uint64, -0.0 differs from 0.0 and each NaN
+        from another."""
+        now, then = self.params.values.view(np.uint64), self.values.view(np.uint64)
+        changed = np.not_equal(now, then)
+        first = int(changed.argmax())
+        if not changed[first]:
+            first = changed.size
+        del self.outputs[sum(bound <= first for bound in self.bounds):]
+        np.copyto(then, now)
+        return self.outputs
+
+
+def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
+                 gc: GoalConditioning | None = None) -> Node:
+    """f_enc = MLP(concat[f_E, f_R, f_A]); empty sets fall back to a learned null latent.
+    f_E and the set latents are rows of one `encode_element` call over the
+    scene's pack, with the goal's rows spliced in at its placement; the
+    plans come from the pack's kept layout for that placement.
+
+    It runs in three stages (FE latents, interaction, fusion). On a tape
+    with a probe memo (see `numerics.gradient_check`) it keeps, under its own
+    key, what it ran on and each stage's outputs. A later call on the same
+    scene, `gc` and `params` objects finds the first arena offset whose bits
+    changed, takes every stage whose parameters all lie before it as
+    constants, and runs only the stages after."""
+    memo = tape.memo
+    kept: list[tuple] = []
+    if memo is not None:
+        entry = memo.get(_EncoderMemo)
+        if entry is None or not (entry.scene is scene and entry.gc is gc and entry.params is params):
+            entry = memo[_EncoderMemo] = _EncoderMemo(scene, gc, params)
+        kept = entry.kept_outputs()
+    outputs = (scene, gc)
+    if kept:
+        outputs = tuple(tape.constant(v) if isinstance(v, np.ndarray) else v for v in kept[-1])
+    for stage in _STAGES[len(kept):]:
+        outputs = stage(tape, params, *outputs)
+        if memo is not None:
+            kept.append(tuple(v.value if isinstance(v, Node) else v for v in outputs))
+    return outputs[0]
 
 
 def decode(tape: Tape, f_enc: Node, params: ModelParams) -> PredictionNodes:
     """K regression branches run as one MLP over a (K,1,·) mode axis, each
     giving (T,4) per mode, plus one logit head."""
     cfg = params.config
-    modes = nm.take_rows(nm.reshape(f_enc, (1, 1, cfg.d)), np.zeros(cfg.k_modes, dtype=int))
+    modes = nm.take_rows(nm.reshape(f_enc, (1, 1, cfg.d)), nm.one_segment(cfg.k_modes))
     layers = [(w, nm.reshape(b, (cfg.k_modes, 1, b.value.shape[1])))
               for w, b in _watched_layers(tape, params.decoder)]
     raw = _run_mlp(layers, modes, cfg.activation)

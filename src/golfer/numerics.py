@@ -7,6 +7,9 @@ evaluation order, accumulating vector-Jacobian products into each node's
 `grad` buffer. Leaf gradients land directly in `Parameter.grad`. A value-only
 `Tape(record=False)` records nothing, for passes never differentiated; work
 only backward reads, such as masks and argmax rows, is done in the closure.
+The value-only probes of one `gradient_check` call share a probe memo
+(`Tape.memo`), a dict in which a forward may keep stage outputs and reuse
+those whose inputs are unchanged; only `gradient_check` makes one.
 
 Accumulation starts on first touch: a node's gradient is None until an op
 first hands it one, and that first array becomes the buffer, where the
@@ -25,8 +28,10 @@ leading axes, such as attention heads or decoder modes, as a batch.
 Sets of rows, such as the tokens of a scene's elements, are packed into one
 (N,d) matrix with a segment id per row, not padded. The ids are checked once,
 as a `Segments` plan, which every `take_rows` and `segment_max` over those
-rows reuses to gather to and pool from them. A `Standardized` x is likewise
-computed once and shared by each `affine_norm` (layer norm) of the same x.
+rows reuses to gather to and pool from them; a (1,...) x is broadcast to k
+rows by gathering through the shared plan `one_segment(k)`. A `Standardized`
+x is likewise computed once and shared by each `affine_norm` (layer norm) of
+the same x.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 import mmap
 import weakref
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,14 +182,24 @@ class Tape:
     tape frees it by reference count. A value-only tape (`record=False`)
     drops what ops hand it, so each intermediate is freed once no later op
     reads it.
+
+    `memo` is None, or a dict that the value-only probes of one
+    `gradient_check` share: a forward may keep stage outputs in it under its
+    own key and reuse those whose inputs have not changed since (see
+    `model.encode_scene`). Only `gradient_check` creates one.
     """
 
-    __slots__ = ("_steps", "_ref", "recording", "__weakref__")
+    __slots__ = ("_steps", "_ref", "recording", "memo", "__weakref__")
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, memo: dict | None = None):
+        if record and memo is not None:
+            raise ValueError("a probe memo goes only on a value-only tape (record=False): "
+                             "a reused stage is a constant, so no gradient would reach "
+                             "the parameters before it")
         self._steps: list[tuple[Node, Callable[[np.ndarray], None]]] = []
         self._ref = _TapeRef(self)
         self.recording = record
+        self.memo = memo
 
     def record(self, out: Node, step: Callable[[np.ndarray], None]) -> None:
         """Keep an op's output and the closure that takes its gradient."""
@@ -460,6 +476,15 @@ class Segments:
         return plan
 
 
+@lru_cache(maxsize=256)
+def one_segment(size: int) -> Segments:
+    """The read-only plan of `size` rows in one segment, built once per size.
+    Gathering a (1,...) x through it repeats x `size` times."""
+    plan = Segments.from_counts([size])
+    plan.ids.flags.writeable = plan.starts.flags.writeable = False
+    return plan
+
+
 def _ranks(ids: np.ndarray) -> np.ndarray:
     """Each id's 1-based rank among the equal ids before it and itself, found
     by a stable sort."""
@@ -475,7 +500,7 @@ def _ranks(ids: np.ndarray) -> np.ndarray:
 
 def take_rows(x: Node, index) -> Node:
     """x[index] along the first axis; a repeated row's gradient sums its copies
-    in order, so `take_rows(x, [0] * k)` of a (1,...) x repeats it k times.
+    in order.
 
     `index` is a `Segments` plan (row i is x[plan.ids[i]]), a `slice` (a view
     of a contiguous range) or non-negative row numbers. Each backward adds
@@ -484,8 +509,11 @@ def take_rows(x: Node, index) -> Node:
     x's rows are laid out in its slot, padded with -0.0, and the layout is
     summed over ranks from -0.0 (x + -0.0 is x, also for x = -0.0).
     A plan's ranks follow from its segment starts, row numbers' from a
-    stable sort. numpy sums pairwise only along a contiguous axis, so an x
-    of one value is summed with a running sum instead."""
+    stable sort. So a broadcast of a (1,...) x to k rows gathers through
+    `one_segment(k)`: its ranks are 1..k, as the sort gives row numbers
+    [0] * k, so it lays out and sums the same values without sorting.
+    numpy sums pairwise only along a contiguous axis, so an x of one value
+    is summed with a running sum instead."""
     if isinstance(index, slice):
         out = Node(x.value[index], x.tape)
 
@@ -648,7 +676,7 @@ def masked_max_pool(x: Node, mask) -> Node:
     if not m.any():
         raise EmptySetError("masked_max_pool: mask has no valid rows")
     rows = np.flatnonzero(m)
-    pooled = segment_max(take_rows(x, rows), Segments(np.zeros(rows.size, dtype=int), 1))
+    pooled = segment_max(take_rows(x, rows), one_segment(rows.size))
     return reshape(pooled, (x.value.shape[1],))
 
 
@@ -688,6 +716,13 @@ def gradient_check(
     input via `tape.watch`) and return a scalar Node; the probes get value-only
     tapes, and one that raises leaves its input restored. Returns the max over
     all input coordinates of |analytic - numeric| / max(1, |numeric|).
+
+    The probes of one call share one memo dict, made here and dropped on
+    return; the recording pass gets none. The model's encoder keeps its
+    stage outputs in it and reuses a stage only while its scene, conditioning
+    and parameter objects are the same and the arena bits the stage read are
+    unchanged (`model.encode_scene`), so each probe's loss is bitwise that of
+    a fresh tape.
     """
     for p in inputs:
         p.zero_grad()
@@ -701,6 +736,7 @@ def gradient_check(
         p.zero_grad()
 
     worst = 0.0
+    memo: dict = {}
     for p, grad in zip(inputs, analytic):
         flat = p.value.reshape(-1)
         gflat = grad.reshape(-1)
@@ -708,9 +744,9 @@ def gradient_check(
             saved = flat[i]
             try:
                 flat[i] = saved + step
-                f_plus = float(fn(Tape(record=False)).value)
+                f_plus = float(fn(Tape(record=False, memo=memo)).value)
                 flat[i] = saved - step
-                f_minus = float(fn(Tape(record=False)).value)
+                f_minus = float(fn(Tape(record=False, memo=memo)).value)
             finally:
                 flat[i] = saved
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):

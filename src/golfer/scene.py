@@ -12,7 +12,8 @@ Token layout (TOKEN_DIM columns):
 Context vectors start with a one-hot element-kind tag; road and agent
 contexts additionally carry a scaled curvature / speed feature.
 
-Scenes and elements are frozen: no field can be reassigned. A scene packs
+Scenes, elements and goal conditionings are frozen: no field can be
+reassigned, and a conditioning's arrays are read-only. A scene packs
 its valid elements once (`Scene.pack`) into their token rows and their
 `GoalLayout`s, everything else a forward reads. The layout without a goal
 is built with the pack and holds the elements' kinds, counts and contexts;
@@ -26,11 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import EmptySetError, Segments
+from .numerics import EmptySetError, Segments, one_segment
 
 TOKEN_DIM = 8
 CTX_DIM = 8
@@ -112,15 +113,10 @@ class GoalLayout:
     agent_set: Segments | None
 
 
-@lru_cache(maxsize=256)
 def _set_plan(size: int) -> Segments | None:
     """The one-segment plan of an interaction set of `size` latents, shared
     by every layout; None for an empty set."""
-    if size == 0:
-        return None
-    plan = Segments.from_counts([size])
-    _frozen(plan.ids, plan.starts)
-    return plan
+    return one_segment(size) if size else None
 
 
 def _layout(kinds, counts, contexts, num_roads: int, goal_row: int | None = None) -> GoalLayout:
@@ -231,9 +227,11 @@ class Scene:
         return pack_elements([self.ego, *roads, *agents], num_roads=len(roads))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GoalConditioning:
-    """A mostly-masked copy of the target future, fed back as input."""
+    """A mostly-masked copy of the target future, fed back as input. It is
+    frozen and its arrays are read-only from construction on, so it stays
+    as its checks found it."""
 
     masked_future: np.ndarray  # (T,2), masked steps zeroed
     step_mask: np.ndarray  # (T,) bool, True = unmasked/visible
@@ -241,8 +239,8 @@ class GoalConditioning:
     exclusion_index: int | None  # the surviving step, excluded from the loss
 
     def __post_init__(self):
-        self.masked_future = np.asarray(self.masked_future, dtype=np.float64)
-        self.step_mask = np.asarray(self.step_mask, dtype=bool)
+        for name, dtype in (("masked_future", np.float64), ("step_mask", bool)):
+            object.__setattr__(self, name, _owned(getattr(self, name), dtype))
         shape = self.masked_future.shape
         if len(shape) != 2 or shape[0] < 1 or shape[1] != 2:
             raise ValueError(f"masked_future must be (T,2) with T >= 1, got {shape}")
@@ -260,6 +258,7 @@ class GoalConditioning:
             raise ValueError(
                 f"exclusion_index {self.exclusion_index} inconsistent with step_mask (expected {expected})"
             )
+        _frozen(self.masked_future, self.step_mask)
 
     @property
     def horizon(self) -> int:

@@ -6,9 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golfer.model as gm
 import golfer.numerics as nm
 from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
@@ -573,6 +574,103 @@ class TestValueOnlyForward:
             value = getattr(value_only, name)
             assert (value == getattr(recorded, name)).all()
             assert (value == getattr(mean_form, name)).all()
+
+
+# Name prefixes of the tiny model's parameters, in arena order: the FE stage
+# (projections, FE blocks), the interaction stage (null latents, interaction
+# blocks), fusion, and the decoder and logit head that every probe runs.
+_PROBE_GROUPS = ("proj.", "fe.", "null.", "interact.", "fusion.", "decoder.", "cls.")
+
+
+def _probe_case(seed):
+    """A tiny scene (its agent set may be empty), a goal and fresh tiny-model params."""
+    generator = GeneratorConfig(seed=seed, num_roads=(1, 2), num_agents=(0, 2),
+                                points_per_polyline=4, history_steps=4, horizon=4)
+    (scene,) = generate_dataset(generator, 1)
+    gc = apply_goal_masking(scene.future, _rng(seed), 0.5, scene.future_mask)
+    return scene, gc, init_model_params(GRADCHECK_TINY)
+
+
+def _probe_loss(tape, scene, gc, params):
+    pred = forward_nodes(tape, scene, gc, params)
+    total, _ = total_loss_nodes(tape, pred, scene.future, scene.future_mask, gc.exclusion_index,
+                                lam=1.0)
+    return total
+
+
+class TestProbeMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16),
+           st.lists(st.tuples(st.sampled_from(_PROBE_GROUPS), st.integers(0, 2**20),
+                              st.sampled_from([1e-5, -1e-5, 0.5, -2.0]), st.booleans()),
+                    min_size=1, max_size=10))
+    @example(0, [("cls.", 3, 1e-5, True), ("fusion.", 5, -1e-5, False), ("proj.", 7, 0.5, True),
+                 ("decoder.", 1, 1e-5, True), ("interact.", 2, -2.0, False), ("fe.", 11, 1e-5, True),
+                 ("null.", 9, 0.5, True), ("fusion.", 5, 1e-5, True)])
+    def test_probe_losses_are_bitwise_those_of_fresh_tapes(self, seed, steps):
+        """Any sequence of one-coordinate perturbations, in any stage and
+        order, kept or restored, gives each memo probe a fresh tape's loss."""
+        scene, gc, params = _probe_case(seed)
+        flats = {group: [p.value.reshape(-1) for name, p in params.named_parameters()
+                         if name.startswith(group)] for group in _PROBE_GROUPS}
+        memo = {}
+        for group, k, delta, restore in steps:
+            flat = flats[group][k % len(flats[group])]
+            i = k // len(flats[group]) % flat.size
+            saved = flat[i]
+            flat[i] = saved + delta
+            probe = _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
+            fresh = _probe_loss(Tape(record=False), scene, gc, params)
+            assert probe.value.tobytes() == fresh.value.tobytes()
+            if restore:
+                flat[i] = saved
+
+    @pytest.mark.parametrize("name, change, encodes, interacts", [
+        ("proj.goal.token.b", 1e-5, 1, 2),
+        ("proj.road.token.b", "negate", 1, 2),
+        ("fe.0.w3", 1e-5, 1, 2),
+        ("null.agent", 1e-5, 0, 2),
+        ("interact.road.0.w4", 1e-5, 0, 2),
+        ("fusion.1.b", 1e-5, 0, 0),
+        ("decoder.1.0.b", 1e-5, 0, 0),
+        ("cls.1.w", 1e-5, 0, 0),
+    ])
+    def test_a_probe_reruns_the_stages_from_its_parameter_s_on(self, name, change, encodes,
+                                                                interacts):
+        """The arena is compared bit by bit: a zero bias negated to -0.0
+        counts as a change."""
+        scene, gc, params = _probe_case(1)
+        memo = {}
+        _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
+        flat = dict(params.named_parameters())[name].value.reshape(-1)
+        if change == "negate":
+            flat[0] = -flat[0]
+            assert flat[0] == 0.0 and np.signbit(flat[0])
+        else:
+            flat[0] += change
+        with mock.patch.object(gm, "encode_element", wraps=encode_element) as encode, \
+                mock.patch.object(gm, "interact", wraps=interact) as interaction:
+            probe = _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
+        assert (encode.call_count, interaction.call_count) == (encodes, interacts)
+        assert probe.value.tobytes() == _probe_loss(Tape(), scene, gc, params).value.tobytes()
+
+    @pytest.mark.parametrize("rebuilt, encodes", [(None, 2), ("scene", 7), ("gc", 7), ("params", 7)])
+    def test_a_fn_that_builds_a_new_scene_gc_or_params_per_call_reuses_no_stage(self, rebuilt,
+                                                                               encodes):
+        """Sweeping the 3 coordinates of a logit bias: the recording pass and
+        6 probes. With the same objects, only the first probe encodes."""
+        scene, gc, params = _probe_case(2)
+        leaf = dict(params.named_parameters())["cls.1.b"]
+
+        def fn(tape):
+            objects = {"scene": scene, "gc": gc, "params": params}
+            if rebuilt is not None:
+                objects[rebuilt] = replace(objects[rebuilt])
+            return _probe_loss(tape, objects["scene"], objects["gc"], objects["params"])
+
+        with mock.patch.object(gm, "encode_element", wraps=encode_element) as encode:
+            worst = nm.gradient_check(fn, [leaf])
+        assert encode.call_count == encodes and worst < 1e-6
 
 
 class TestDecode:

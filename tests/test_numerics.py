@@ -269,6 +269,33 @@ class TestSegmentOps:
             assert x.grad.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("trailing", [(1, 16), (1, 1, 8), (1,)], ids=["row", "mode-axis", "one-value"])
+    def test_a_one_segment_broadcast_sums_its_gradient_as_zero_row_numbers(self, trailing):
+        """A (1,...) x gathered to k rows through `one_segment(k)` gives the
+        bits of the gather by row numbers [0] * k, forward and backward."""
+        rng = _rng(17)
+        for k in (1, 2, 3, 6, 40):
+            x = Parameter(rng.normal(size=trailing))
+            g = rng.normal(size=(k, *trailing[1:])) * 10.0 ** rng.integers(-6, 6, k)[
+                (slice(None),) + (None,) * (len(trailing) - 1)]
+            held = rng.normal(size=trailing) * (k % 2)
+            grads, values = [], []
+            for index in (nm.one_segment(k), np.zeros(k, dtype=int)):
+                x.grad[...] = held
+                tape = Tape()
+                out = nm.take_rows(tape.watch(x), index)
+                tape.backward(nm.weighted_sum(out, g))
+                values.append(out.value.tobytes())
+                grads.append(x.grad.tobytes())
+            assert values[0] == values[1] and grads[0] == grads[1]
+
+    def test_one_segment_plans_are_shared_and_read_only(self):
+        plan = nm.one_segment(5)
+        assert plan is nm.one_segment(5) and plan.count == 1 and (plan.ids == 0).all()
+        with pytest.raises(ValueError, match="read-only"):
+            plan.ids[0] = 1
+
+
 class TestSharedStandardization:
     def test_norms_of_one_standardized_x_equal_separate_layer_norms_bit_for_bit(self):
         rng = _rng(15)
@@ -360,6 +387,26 @@ class TestGradientCheck:
 
         gradient_check(fn, [x])
         assert [t.recording for t in tapes] == [True] + [False] * 4
+
+    def test_the_probes_of_one_call_share_one_memo_and_the_recording_pass_has_none(self):
+        x = Parameter(np.array([1.0, 2.0]))
+        memos = []
+
+        def fn(tape):
+            memos.append(tape.memo)
+            return nm.weighted_sum(nm.exp(tape.watch(x)), np.ones(2))
+
+        gradient_check(fn, [x])
+        gradient_check(fn, [x])
+        first, second = memos[1], memos[6]
+        assert memos[0] is None and memos[5] is None
+        assert all(m is first for m in memos[1:5]) and all(m is second for m in memos[6:])
+        assert first == {} and second is not first
+
+    def test_a_memo_on_a_recording_tape_is_refused(self):
+        with pytest.raises(ValueError, match="value-only tape"):
+            Tape(memo={})
+        assert Tape(record=False, memo={}).memo == {} and Tape().memo is None
 
 
 class TestValueOnlyTape:

@@ -143,6 +143,27 @@ class TestGoalMasking:
             GoalConditioning(masked_future=masked_future, step_mask=step_mask, placement="agents",
                              exclusion_index=int(visible[0]) if visible.size == 1 else None)
 
+    def test_no_field_of_a_conditioning_can_be_reassigned(self):
+        gc = apply_goal_masking(np.ones((4, 2)), _rng(3), 0.5, np.ones(4, dtype=bool))
+        for name, value in (("placement", "sky"), ("step_mask", np.ones(4, dtype=bool)),
+                            ("masked_future", np.zeros((4, 2))), ("exclusion_index", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gc, name, value)
+
+    def test_a_conditioning_s_arrays_are_read_only(self):
+        gc = prediction_conditioning(4)
+        with pytest.raises(ValueError, match="read-only"):
+            gc.step_mask[0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            gc.masked_future[0] = (1.0, 2.0)
+
+    def test_a_conditioning_copies_a_view_of_a_caller_s_array(self):
+        future = np.zeros((2, 4, 2))
+        gc = GoalConditioning(masked_future=future[0], step_mask=np.zeros(4, dtype=bool),
+                              placement="roads", exclusion_index=None)
+        future[0, 0] = (5.0, 6.0)
+        assert (gc.masked_future == 0.0).all() and future.flags.writeable
+
 
 class TestGoalElement:
     def test_fully_masked_element_is_all_zero(self):
