@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ConfigError, RunConfig, echo_config, parse_config
-from .ensemble import DegenerateInputError, ensemble_predict, min_ade, min_fde, miss_rate
+from .ensemble import DegenerateInputError, ensemble_predict, mode_step_distances
 from .gradcheck import run_gradient_suite
 from .model import (
     ModelFormatError,
@@ -73,13 +73,15 @@ def _predict_all(scenes: list[Scene], params: ModelParams) -> list[Prediction]:
 
 
 def _metrics_record(scenes, means_seq, k: int, threshold_m: float) -> dict:
-    gts = [s.future for s in scenes]
-    valids = [s.future_mask for s in scenes]
+    """minADE, minFDE and miss rate, as `ensemble.min_ade`, `min_fde` and
+    `miss_rate` define them, from one scoring of each scene's modes."""
+    dists = [mode_step_distances(m, s.future, s.future_mask) for m, s in zip(means_seq, scenes)]
+    fdes = [d[:, -1].min() for d in dists]
     return {
         "num_samples": len(scenes),
-        "minADE": float(np.mean([min_ade(m, g, v) for m, g, v in zip(means_seq, gts, valids)])),
-        "minFDE": float(np.mean([min_fde(m, g, v) for m, g, v in zip(means_seq, gts, valids)])),
-        "miss_rate": miss_rate(means_seq, gts, valids, threshold_m),
+        "minADE": float(np.mean([d.mean(axis=1).min() for d in dists])),
+        "minFDE": float(np.mean(fdes)),
+        "miss_rate": sum(1 for fde in fdes if fde > threshold_m) / len(fdes),
         "k": k,
         "threshold_m": threshold_m,
     }
@@ -179,20 +181,19 @@ def _cmd_ensemble(args) -> int:
             f"ensemble.k: {cfg.ensemble_k} clusters requested but members supply only "
             f"{total_modes} modes"
         )
-    means_seq, outputs = [], []
-    for scene in scenes:
-        preds = [forward(scene, prediction_conditioning(p.config.horizon), p) for p in members]
-        rng = np.random.Generator(np.random.PCG64(cfg.ensemble_seed))
-        out = ensemble_predict(preds, cfg.ensemble_k, rng)
-        outputs.append(out)
-        means_seq.append(out.centroids)
+    outputs = [
+        ensemble_predict(list(preds), cfg.ensemble_k,
+                         np.random.Generator(np.random.PCG64(cfg.ensemble_seed)))
+        for preds in zip(*(_predict_all(scenes, params) for params in members))
+    ]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for scene_id, out in enumerate(outputs):
                 _write_prediction_records(fh, scene_id, out.centroids, out.probs)
         print(f"wrote {len(scenes) * cfg.ensemble_k} ensembled mode records to {args.out}",
               file=sys.stderr)
-    report = _metrics_record(scenes, means_seq, cfg.ensemble_k, cfg.threshold_m)
+    report = _metrics_record(scenes, [out.centroids for out in outputs], cfg.ensemble_k,
+                             cfg.threshold_m)
     print("metrics " + to_json_text(report))
     return 0
 

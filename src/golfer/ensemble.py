@@ -4,7 +4,7 @@ Model ensembling pools every mode from every member model, weighted by its
 probability, and clusters the pool with Lloyd iterations in flattened
 trajectory space. Cluster centroids become the ensembled modes; normalized
 per-cluster weight sums become their probabilities. minADE/minFDE/miss-rate
-follow the usual multi-modal definitions.
+follow the usual multi-modal definitions, all read from `mode_step_distances`.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def _kmeanspp_init(
     return centers
 
 
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-12
+
+
 def weighted_kmeans(
-    traj_set: WeightedTrajectorySet,
-    k: int,
-    rng: np.random.Generator,
-    max_iters: int = 100,
-    tol: float = 1e-12,
+    traj_set: WeightedTrajectorySet, k: int, rng: np.random.Generator
 ) -> EnsembleOutput:
     """Lloyd iterations in flattened 2T-dimensional space.
 
@@ -94,7 +94,7 @@ def weighted_kmeans(
     weight-weighted member means; an emptied cluster is re-seeded to the point
     with the largest weighted squared distance to its assigned centroid. Stops
     when assignments stabilize (an exact fixed point), when the largest
-    centroid movement drops below tol, or after max_iters.
+    centroid movement drops below `KMEANS_TOL`, or after `KMEANS_MAX_ITERS`.
     """
     if traj_set.weights.sum() <= 0:
         raise DegenerateInputError("all trajectory weights are zero")
@@ -108,7 +108,7 @@ def weighted_kmeans(
 
     centers = _kmeanspp_init(points, weights, k, rng)
     assign = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         # Re-seed empty clusters before accepting the assignment.
@@ -129,7 +129,7 @@ def weighted_kmeans(
             members = assign == c
             centers[c] = np.average(points[members], axis=0, weights=weights[members]) \
                 if weights[members].sum() > 0 else points[members].mean(axis=0)
-        if np.linalg.norm(centers - old_centers, axis=1).max() < tol:
+        if np.linalg.norm(centers - old_centers, axis=1).max() < KMEANS_TOL:
             break
 
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -160,23 +160,25 @@ def ensemble_predict(
 # ---------------------------------------------------------------------------
 
 
+def mode_step_distances(means: np.ndarray, gt: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The (K,S) L2 distances of K (T,2) modes to the (T,2) ground truth at the
+    S >= 1 steps set in the (T,) mask `steps`, in step order: a row's mean is
+    that mode's ADE and its last column its FDE. No step set: EmptySetError."""
+    steps = np.asarray(steps, dtype=bool)
+    if not steps.any():
+        raise EmptySetError("no valid step to score")
+    diffs = np.asarray(means)[:, steps, :] - np.asarray(gt)[steps]
+    return np.sqrt(np.add.reduce(diffs * diffs, axis=2))
+
+
 def min_ade(pred_means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> float:
     """Min over modes of the mean displacement over valid steps."""
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise EmptySetError("min_ade: no valid steps")
-    diffs = np.asarray(pred_means)[:, valid, :] - np.asarray(gt)[valid]
-    return float(np.linalg.norm(diffs, axis=2).mean(axis=1).min())
+    return float(mode_step_distances(pred_means, gt, valid).mean(axis=1).min())
 
 
 def min_fde(pred_means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> float:
     """Min over modes of the displacement at the last valid step."""
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise EmptySetError("min_fde: no valid steps")
-    last = int(np.flatnonzero(valid)[-1])
-    diffs = np.asarray(pred_means)[:, last, :] - np.asarray(gt)[last]
-    return float(np.linalg.norm(diffs, axis=1).min())
+    return float(mode_step_distances(pred_means, gt, valid)[:, -1].min())
 
 
 def miss_rate(

@@ -32,6 +32,8 @@ PRIMITIVE_TOL = 1e-4
 LINEAR_TOL = 1e-8
 BLOCK_TOL = 1e-4
 MODEL_TOL = 1e-4
+PRIMITIVE_INSTANCES = 20
+BLOCK_INSTANCES = 2
 
 
 @dataclass
@@ -240,23 +242,23 @@ def _build_full_model(_rng_unused):
     return leaves, fn
 
 
-def run_gradient_suite(
-    primitive_instances: int = 20,
-    block_instances: int = 2,
-    include_model: bool = True,
-) -> list[CheckResult]:
-    results = []
-    for name, build in _primitive_builders().items():
-        results.append(_check(name, build, primitive_instances, PRIMITIVE_TOL))
-    results.append(_check("linear_map", _build_linear_map, primitive_instances, LINEAR_TOL))
-    if block_instances > 0:
-        for label, mix_kind, match_kind, query in _BLOCK_CONFIGS:
-            for heads in (1, 2):
-                results.append(
-                    _check(f"{label}/h{heads}", _block_builder(mix_kind, match_kind, query, heads),
-                           block_instances, BLOCK_TOL)
-                )
-    if include_model:
-        results.append(_check("decode+total_loss", _build_decode_loss, 1, MODEL_TOL))
-        results.append(_check("golfer_forward+total_loss", _build_full_model, 1, MODEL_TOL))
-    return results
+def primitive_checks() -> list[CheckResult]:
+    """Each primitive op, then the linear map, over `PRIMITIVE_INSTANCES` seeds."""
+    results = [_check(name, build, PRIMITIVE_INSTANCES, PRIMITIVE_TOL)
+               for name, build in _primitive_builders().items()]
+    return results + [_check("linear_map", _build_linear_map, PRIMITIVE_INSTANCES, LINEAR_TOL)]
+
+
+def block_checks() -> list[CheckResult]:
+    """Each block variant with one and two heads, over `BLOCK_INSTANCES` seeds."""
+    return [_check(f"{label}/h{heads}", _block_builder(mix_kind, match_kind, query, heads),
+                   BLOCK_INSTANCES, BLOCK_TOL)
+            for label, mix_kind, match_kind, query in _BLOCK_CONFIGS for heads in (1, 2)]
+
+
+def run_gradient_suite() -> list[CheckResult]:
+    """The primitive and block checks, then the model's decode and full forward
+    under the training loss: what `golfer gradcheck` reports, in its order."""
+    return [*primitive_checks(), *block_checks(),
+            _check("decode+total_loss", _build_decode_loss, 1, MODEL_TOL),
+            _check("golfer_forward+total_loss", _build_full_model, 1, MODEL_TOL)]

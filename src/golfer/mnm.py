@@ -246,11 +246,6 @@ def _merge_heads(x: Node) -> Node:
     return nm.reshape(nm.transpose(x, (1, 0, 2)), (n, heads * dh))
 
 
-def _watch_heads(tape: Tape, per_head: Parameter | None) -> Node | None:
-    """The (H,...) weights as a leaf, or None when the block has none."""
-    return tape.watch(per_head) if per_head is not None else None
-
-
 def _match_rows(tape: Tape, params: MnMBlockParams, c: Node, x: Node) -> Node:
     """Match the (n,d) aggregate rows c onto the (n,d) tokens x. Heads are
     split only for a Match with per-head weights: a product without them is
@@ -272,8 +267,9 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     xn = nm.layer_norm(x, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                        LAYER_NORM_EPS)
     if params.mix is MixKind.ATTENTION:
-        attn = mix(params.mix, _split_heads(xn, params.heads), mask,
-                   _watch_heads(tape, params.wq), _watch_heads(tape, params.wk))
+        wq = tape.watch(params.wq) if params.wq is not None else None
+        wk = tape.watch(params.wk) if params.wk is not None else None
+        attn = mix(params.mix, _split_heads(xn, params.heads), mask, wq, wk)
         matched = _merge_heads(match(params.match, attn, _split_heads(x, params.heads)))
     else:
         pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))

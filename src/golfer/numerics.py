@@ -704,13 +704,12 @@ def segment_max(x: Node, segments: Segments) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def gradient_check(
-    fn: Callable[[Tape], Node],
-    inputs: Sequence[Parameter],
-    step: float = 1e-5,
-) -> float:
+FD_STEP = 1e-5
+
+
+def gradient_check(fn: Callable[[Tape], Node], inputs: Sequence[Parameter]) -> float:
     """Compare analytic gradients of a scalar-valued composite against central
-    finite differences.
+    finite differences of step `FD_STEP`.
 
     `fn` must build the computation on the tape it is given (reading each
     input via `tape.watch`) and return a scalar Node; the probes get value-only
@@ -743,15 +742,15 @@ def gradient_check(
         for i in range(flat.size):
             saved = flat[i]
             try:
-                flat[i] = saved + step
+                flat[i] = saved + FD_STEP
                 f_plus = float(fn(Tape(record=False, memo=memo)).value)
-                flat[i] = saved - step
+                flat[i] = saved - FD_STEP
                 f_minus = float(fn(Tape(record=False, memo=memo)).value)
             finally:
                 flat[i] = saved
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NumericError("gradient_check: non-finite perturbed value")
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             err = abs(gflat[i] - numeric) / max(1.0, abs(numeric))
             if err > worst:
                 worst = err

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .ensemble import mode_step_distances
 from .model import GolferConfig, ModelParams, PredictionNodes, forward_nodes, init_model_params
 from .numerics import EmptySetError, Node, Tape
 from .scene import Scene, apply_goal_masking
@@ -37,13 +38,7 @@ class LossBreakdown:
 
 def select_winner(means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> int:
     """Index of the mode with the smallest mean L2 distance over valid steps."""
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise EmptySetError("select_winner: no valid steps")
-    diffs = means[:, valid, :] - np.asarray(gt)[valid]
-    # np.linalg.norm and ndarray.mean, as the ufunc reductions they wrap.
-    dists = np.add.reduce(np.sqrt(np.add.reduce(diffs * diffs, axis=2)), axis=1) / diffs.shape[1]
-    return int(np.argmin(dists))
+    return int(np.argmin(mode_step_distances(means, gt, valid).mean(axis=1)))
 
 
 def _counted_steps(valid: np.ndarray, exclusion_index: int | None) -> np.ndarray:
@@ -241,8 +236,9 @@ class TrainConfig:
     def validate(self) -> None:
         """Raise naming the first field that training cannot run with."""
         for name, usable in (("epochs", self.epochs >= 1), ("seed", self.seed >= 0),
-                             ("lr", 0 < self.lr < math.inf), ("beta1", 0 <= self.beta1 < 1),
-                             ("beta2", 0 <= self.beta2 < 1),
+                             ("lr", 0 < self.lr < math.inf), ("lam", 0 <= self.lam < math.inf),
+                             ("mask_ratio", 0 <= self.mask_ratio <= 1),
+                             ("beta1", 0 <= self.beta1 < 1), ("beta2", 0 <= self.beta2 < 1),
                              ("epsilon", 0 < self.epsilon < math.inf)):
             if not usable:
                 raise ValueError(f"{name}: value {getattr(self, name)} out of range")

@@ -291,11 +291,9 @@ class TestBlockInvariants:
         assert (base[mask] == again[mask]).all()
 
     def test_block_gradients(self):
-        from golfer.gradcheck import BLOCK_TOL, run_gradient_suite
+        from golfer.gradcheck import BLOCK_TOL, block_checks
 
-        results = run_gradient_suite(primitive_instances=0, block_instances=1,
-                                     include_model=False)
-        block_results = [r for r in results if "/" in r.name]
-        assert block_results
-        for res in block_results:
+        results = block_checks()
+        assert results
+        for res in results:
             assert res.max_rel_error < BLOCK_TOL, res.name

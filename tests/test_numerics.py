@@ -444,10 +444,9 @@ class TestValueOnlyTape:
 
 class TestPrimitiveGradients:
     def test_all_primitives_within_1e4_on_20_seeded_instances(self):
-        from golfer.gradcheck import run_gradient_suite
+        from golfer.gradcheck import primitive_checks
 
-        results = run_gradient_suite(primitive_instances=20, block_instances=0,
-                                     include_model=False)
+        results = primitive_checks()
         failures = [r.name for r in results if not r.passed]
         assert not failures, f"primitive gradient failures: {failures}"
 

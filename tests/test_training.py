@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golfer import training
+from golfer.cli import main
 from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
 from golfer.numerics import EmptySetError, Parameter, Tape
@@ -35,6 +36,7 @@ from oracles import (
     ref_winner,
     total_loss,
 )
+from test_acceptance import REPRO_CONFIG
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_6 = math.log(6.0)
@@ -491,7 +493,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0),
-        ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0), ("seed", -1),
+        ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0), ("seed", -1), ("lam", -1.0),
+        ("lam", math.inf), ("mask_ratio", 1.5),
     ])
     def test_an_unusable_train_config_is_named_before_step_0(self, field, value):
         scenes = generate_dataset(GeneratorConfig(seed=28), 2)
@@ -605,6 +608,35 @@ class TestPinnedBytes:
             grads.append(params.grads.copy())
             params.zero_grads()
         assert _digest(grads) == "9d99831b1c138c8d0d56861b26ab65a3ac33f20c5cfd6b15f13d873cd82f5aab"
+
+    def test_cli_metric_reports_and_prediction_files_are_pinned(self, tmp_path, capsys):
+        """The `evaluate` and `ensemble` stdout and the `predict` and
+        `ensemble` files of the reproducibility config: a change to how modes
+        are scored or predicted must not move a byte of them."""
+        cfg = tmp_path / "repro.cfg"
+        cfg.write_text(REPRO_CONFIG)
+        data, m1, m2, preds, ens = (str(tmp_path / name) for name in
+                                    ("scenes.jsonl", "m1.mnmg", "m2.mnmg", "p.jsonl", "e.jsonl"))
+        common = ["--config", str(cfg), "--data", data]
+        assert main(["generate-data", "--config", str(cfg), "--out", data]) == 0
+        assert main(["train", *common, "--out", m1]) == 0
+        assert main(["train", *common, "--out", m2, "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *common, "--model", m1]) == 0
+        evaluate_out = capsys.readouterr().out
+        assert main(["predict", *common, "--model", m1, "--out", preds]) == 0
+        capsys.readouterr()
+        assert main(["ensemble", *common, "--model", m1, "--model", m2, "--out", ens]) == 0
+        ensemble_out = capsys.readouterr().out
+        digests = [hashlib.sha256(blob).hexdigest() for blob in (
+            evaluate_out.encode(), ensemble_out.encode(),
+            open(preds, "rb").read(), open(ens, "rb").read())]
+        assert digests == [
+            "09f8d32026da58d547c0bd21cab02700cc8729fdd2ebcec2c5f2c219608167d2",
+            "1702a5659bb4d28c35dc316aa746ddc4997a636f088decc3aba83550b4464126",
+            "48b5aca144ae1008358aec11660c9bddc8e8632107ed8fb9eb02fda760e6f323",
+            "6268c208dbfbf023a7ebee8f545149ef3380fc316e5b4c64d23c190d1cb02457",
+        ]
 
 
 @pytest.mark.parametrize("config", [GolferConfig(), GRADCHECK_TINY, DEEP_PROJ],
