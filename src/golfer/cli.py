@@ -264,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("evaluate", "predict") and len(args.model) > 1:
+        parser.error(f"argument --model: {args.command} takes one model, got {len(args.model)}")
     try:
         return args.func(args)
     except ConfigError as exc:

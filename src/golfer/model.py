@@ -23,12 +23,12 @@ per-head and per-mode weight family is stored as one stacked tensor;
 `named_parameters` yields its slices as views. Every family is in turn a
 view of one flat value buffer and one flat grad buffer, so the optimizer
 and the grad reset act on the whole model at once.
-The encoder is a pipeline of three stages (FE latents, interaction,
-fusion), and each stage's weights sit in the arena after those of every
-stage that feeds it. So the finite-difference probes of one
-`numerics.gradient_check`, which share a probe memo, rerun only the
-stages from the perturbed parameter's on (`encode_scene`); every other
-forward carries no memo and runs them all.
+The encoder is a pipeline of four stages (the goal splice and kind
+projections, the FE blocks, interaction, fusion), and each stage's weights
+sit in the arena after those of every stage that feeds it. So the
+finite-difference probes of one `numerics.gradient_check`, which share a
+probe memo, rerun only the stages from the perturbed parameter's on
+(`encode_scene`); every other forward carries no memo and runs them all.
 Model files are version 2; a file of another version is refused with a
 `ModelFormatError`.
 """
@@ -46,7 +46,8 @@ import numpy as np
 from . import numerics as nm
 from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
 from .numerics import Node, Parameter, Tape
-from .scene import CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, GoalConditioning, GoalLayout, Scene
+from .scene import (CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, ElementPack, GoalConditioning,
+                    GoalLayout, Scene)
 
 MODEL_MAGIC = b"MNMG"
 MODEL_VERSION = 2
@@ -299,14 +300,12 @@ def _kind_rows(tape: Tape, w: Parameter, b: Parameter, kinds, features) -> Node:
                   nm.take_rows(tape.watch(b), kinds))
 
 
-def encode_element(tape: Tape, layout: GoalLayout, tokens: np.ndarray, params: ModelParams) -> Node:
-    """Encode a layout's E elements in one FE pass over their (N, TOKEN_DIM)
-    valid token rows (invalid rows are dropped, not padded) -> (E,d) latents.
-    The layout's segment plan is shared by every FE block and the final
-    pooling; its ids give each row's element, whose kind projects the row."""
-    row_kinds = layout.kinds[layout.segments.ids]
-    tokens = _kind_rows(tape, params.token_w, params.token_b, row_kinds, tokens)
-    context = _kind_rows(tape, params.ctx_w, params.ctx_b, layout.kinds, layout.contexts)
+def encode_element(tape: Tape, layout: GoalLayout, tokens: Node, context: Node,
+                   params: ModelParams) -> Node:
+    """Encode a layout's E elements in one FE pass over their (N,d) projected
+    valid token rows (invalid rows are dropped, not padded) and (E,d)
+    projected contexts -> (E,d) latents. The layout's segment plan is shared
+    by every FE block and the final pooling."""
     for block in params.fe_blocks:
         tokens, context = mnm_query(tape, tokens, context, layout.segments, block)
     return nm.maximum(nm.segment_max(tokens, layout.segments), context)
@@ -324,14 +323,24 @@ def interact(tape: Tape, ego_latent: Node, latents: Node, segments: nm.Segments,
     return context
 
 
-# The encoder's stages, in the order their parameters sit in the arena; each
-# maps (tape, params, *previous stage's outputs) to a tuple of outputs.
+# The encoder's stages; each maps (tape, params, *previous stage's outputs)
+# to a tuple of outputs.
 
 
-def _fe_stage(tape: Tape, params: ModelParams, scene: Scene, gc: GoalConditioning | None):
-    """The layout of gc's placement and the (E,d) latents of its elements."""
-    layout, tokens = scene.pack.splice_goal(gc)
-    return layout, encode_element(tape, layout, tokens, params)
+def _projection_stage(tape: Tape, params: ModelParams, pack: ElementPack,
+                      gc: GoalConditioning | None):
+    """The layout of gc's placement, and its token rows and contexts, each
+    projected by its element's kind (a row's element is its segment id)."""
+    layout, tokens = pack.splice_goal(gc)
+    return (layout,
+            _kind_rows(tape, params.token_w, params.token_b, layout.kinds[layout.segments.ids],
+                       tokens),
+            _kind_rows(tape, params.ctx_w, params.ctx_b, layout.kinds, layout.contexts))
+
+
+def _fe_stage(tape: Tape, params: ModelParams, layout: GoalLayout, tokens: Node, context: Node):
+    """The layout and the (E,d) latents of its elements."""
+    return layout, encode_element(tape, layout, tokens, context, params)
 
 
 def _interaction_stage(tape: Tape, params: ModelParams, layout: GoalLayout, latents: Node):
@@ -356,7 +365,11 @@ def _fusion_stage(tape: Tape, params: ModelParams, f_ego: Node, f_road: Node, f_
                      params.config.activation),)
 
 
-_STAGES = (_fe_stage, _interaction_stage, _fusion_stage)
+# The stages in arena order, each with the name group of the first parameter
+# it reads; every parameter it reads lies before the next stage's first, and
+# the decoder's parameters follow the last stage's.
+_STAGES = ((_projection_stage, "proj"), (_fe_stage, "fe"), (_interaction_stage, "null"),
+           (_fusion_stage, "fusion"))
 
 
 class _EncoderMemo:
@@ -364,17 +377,17 @@ class _EncoderMemo:
     parameters it last ran on, a copy of the parameter arena as it read it,
     and the outputs of its first stages, each valid for that copy. Stage k
     reads the arena only below `bounds[k]`, the offset of the next stage's
-    first parameter."""
+    first parameter in `_STAGES` (the decoder's after the last stage)."""
 
     __slots__ = ("scene", "gc", "params", "values", "bounds", "outputs")
 
     def __init__(self, scene: Scene, gc: GoalConditioning | None, params: ModelParams):
         self.scene, self.gc, self.params = scene, gc, params
         self.values = params.values.copy()
-        base = params.values.ctypes.data
-        self.bounds = [(p.value.ctypes.data - base) // p.value.itemsize
-                       for p in (params.null_road, params.fusion.weights[0],
-                                 params.decoder.weights[0])]
+        base, first = params.values.ctypes.data, {}
+        for name, p in params.named_parameters():
+            first.setdefault(name.split(".")[0], (p.value.ctypes.data - base) // p.value.itemsize)
+        self.bounds = [first[group] for _, group in _STAGES[1:]] + [first["decoder"]]
         self.outputs: list[tuple] = []
 
     def kept_outputs(self) -> list[tuple]:
@@ -399,12 +412,13 @@ def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
     scene's pack, with the goal's rows spliced in at its placement; the
     plans come from the pack's kept layout for that placement.
 
-    It runs in three stages (FE latents, interaction, fusion). On a tape
-    with a probe memo (see `numerics.gradient_check`) it keeps, under its own
-    key, what it ran on and each stage's outputs. A later call on the same
-    scene, `gc` and `params` objects finds the first arena offset whose bits
-    changed, takes every stage whose parameters all lie before it as
-    constants, and runs only the stages after."""
+    It runs in four stages (splice and kind projections, FE blocks,
+    interaction, fusion). On a tape with a probe memo (see
+    `numerics.gradient_check`) it keeps, under its own key, what it ran on
+    and each stage's outputs. A later call on the same scene, `gc` and
+    `params` objects finds the first arena offset whose bits changed, takes
+    every stage whose parameters all lie before it as constants, and runs
+    only the stages after."""
     memo = tape.memo
     kept: list[tuple] = []
     if memo is not None:
@@ -412,10 +426,10 @@ def encode_scene(tape: Tape, scene: Scene, params: ModelParams,
         if entry is None or not (entry.scene is scene and entry.gc is gc and entry.params is params):
             entry = memo[_EncoderMemo] = _EncoderMemo(scene, gc, params)
         kept = entry.kept_outputs()
-    outputs = (scene, gc)
+    outputs = (scene.pack, gc)
     if kept:
         outputs = tuple(tape.constant(v) if isinstance(v, np.ndarray) else v for v in kept[-1])
-    for stage in _STAGES[len(kept):]:
+    for stage, _ in _STAGES[len(kept):]:
         outputs = stage(tape, params, *outputs)
         if memo is not None:
             kept.append(tuple(v.value if isinstance(v, Node) else v for v in outputs))

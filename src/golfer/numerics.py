@@ -5,8 +5,9 @@ numpy, and hands a backward closure to the owning `Tape`. Calling
 `Tape.backward` on a scalar output replays the recorded closures in reverse
 evaluation order, accumulating vector-Jacobian products into each node's
 `grad` buffer. Leaf gradients land directly in `Parameter.grad`. A value-only
-`Tape(record=False)` records nothing, for passes never differentiated; work
-only backward reads, such as masks and argmax rows, is done in the closure.
+`Tape(record=False)` is for passes never differentiated: each op computes its
+value by the same code, but builds no closure and records nothing, so work
+only backward reads, such as masks and argmax rows, is never done there.
 The value-only probes of one `gradient_check` call share a probe memo
 (`Tape.memo`), a dict in which a forward may keep stage outputs and reuse
 those whose inputs are unchanged; only `gradient_check` makes one.
@@ -160,17 +161,18 @@ class Node:
 
 
 class _TapeRef(weakref.ref):
-    """A node's weak reference to its tape, through which its ops record."""
+    """A node's weak reference to its tape, through which its ops record,
+    and whether that tape records: an op builds its backward closure only
+    if it does."""
 
-    __slots__ = ()
+    __slots__ = ("recording",)
 
     def record(self, out: Node, step: Callable[[np.ndarray], None]) -> None:
         tape = self()
         if tape is None:
             raise ReferenceError("the tape of this node was dropped; keep the Tape referenced "
                                  "while ops still record on its nodes")
-        if tape.recording:
-            tape.record(out, step)
+        tape.record(out, step)
 
 
 class Tape:
@@ -179,9 +181,9 @@ class Tape:
 
     The tape and the closures hold the nodes, so nodes hold only a weak
     reference to their tape: a graph is no reference cycle, and dropping the
-    tape frees it by reference count. A value-only tape (`record=False`)
-    drops what ops hand it, so each intermediate is freed once no later op
-    reads it.
+    tape frees it by reference count. On a value-only tape (`record=False`)
+    ops build no closure and record nothing, so each intermediate is freed
+    once no later op reads it.
 
     `memo` is None, or a dict that the value-only probes of one
     `gradient_check` share: a forward may keep stage outputs in it under its
@@ -189,7 +191,7 @@ class Tape:
     `model.encode_scene`). Only `gradient_check` creates one.
     """
 
-    __slots__ = ("_steps", "_ref", "recording", "memo", "__weakref__")
+    __slots__ = ("_steps", "_ref", "memo", "__weakref__")
 
     def __init__(self, record: bool = True, memo: dict | None = None):
         if record and memo is not None:
@@ -198,8 +200,12 @@ class Tape:
                              "the parameters before it")
         self._steps: list[tuple[Node, Callable[[np.ndarray], None]]] = []
         self._ref = _TapeRef(self)
-        self.recording = record
+        self._ref.recording = record
         self.memo = memo
+
+    @property
+    def recording(self) -> bool:
+        return self._ref.recording
 
     def record(self, out: Node, step: Callable[[np.ndarray], None]) -> None:
         """Keep an op's output and the closure that takes its gradient."""
@@ -252,12 +258,12 @@ def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"add: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value + b.value, a.tape)
+    if a.tape.recording:
+        def backward(g):
+            _accumulate_copy(a, g)
+            _accumulate_copy(b, g)
 
-    def backward(g):
-        _accumulate_copy(a, g)
-        _accumulate_copy(b, g)
-
-    a.tape.record(out, backward)
+        a.tape.record(out, backward)
     return out
 
 
@@ -265,42 +271,42 @@ def mul(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"mul: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value * b.value, a.tape)
+    if a.tape.recording:
+        def backward(g):
+            _accumulate(a, g * b.value)
+            _accumulate(b, g * a.value)
 
-    def backward(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
-
-    a.tape.record(out, backward)
+        a.tape.record(out, backward)
     return out
 
 
 def scale(x: Node, s: float) -> Node:
     out = Node(x.value * s, x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate(x, g * s)
 
-    def backward(g):
-        _accumulate(x, g * s)
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
 def exp(x: Node) -> Node:
     out = Node(np.exp(x.value), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate(x, g * out.value)
 
-    def backward(g):
-        _accumulate(x, g * out.value)
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
 def clamp(x: Node, lo: float, hi: float) -> Node:
     out = Node(np.clip(x.value, lo, hi), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate(x, g * ((x.value >= lo) & (x.value <= hi)))
 
-    def backward(g):
-        _accumulate(x, g * ((x.value >= lo) & (x.value <= hi)))
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
@@ -309,23 +315,23 @@ def maximum(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"maximum: {a.value.shape} vs {b.value.shape}")
     out = Node(np.maximum(a.value, b.value), a.tape)
+    if a.tape.recording:
+        def backward(g):
+            a_wins = a.value >= b.value
+            _accumulate(a, g * a_wins)
+            _accumulate(b, g * ~a_wins)
 
-    def backward(g):
-        a_wins = a.value >= b.value
-        _accumulate(a, g * a_wins)
-        _accumulate(b, g * ~a_wins)
-
-    a.tape.record(out, backward)
+        a.tape.record(out, backward)
     return out
 
 
 def relu(x: Node) -> Node:
     out = Node(np.maximum(x.value, 0.0), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate(x, g * (x.value > 0.0))
 
-    def backward(g):
-        _accumulate(x, g * (x.value > 0.0))
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
@@ -337,18 +343,18 @@ def gelu(x: Node) -> Node:
     cdf += 1.0
     cdf *= 0.5
     out = Node(x.value * cdf, x.tape)
+    if x.tape.recording:
+        def backward(g):
+            dx = np.multiply(x.value, -0.5)
+            dx *= x.value
+            np.exp(dx, out=dx)
+            dx *= _INV_SQRT_2PI
+            dx *= x.value
+            dx += cdf
+            dx *= g
+            _accumulate(x, dx)
 
-    def backward(g):
-        dx = np.multiply(x.value, -0.5)
-        dx *= x.value
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= x.value
-        dx += cdf
-        dx *= g
-        _accumulate(x, dx)
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
@@ -376,64 +382,65 @@ def matmul(a: Node, b: Node) -> Node:
     if not ok:
         raise DimensionError(f"matmul: {av.shape} x {bv.shape}")
     out = Node(av @ bv, a.tape)
+    if a.tape.recording:
+        def backward(g):
+            if av.ndim == 1:
+                _accumulate(a, bv @ g)
+                _accumulate(b, np.outer(av, g))
+            else:
+                _accumulate(a, g @ np.swapaxes(bv, -1, -2))
+                at = np.swapaxes(av, -1, -2)
+                # One row of a: each entry of b's gradient is a single product.
+                _accumulate(b, at * g if av.shape[-2] == 1 else at @ g)
 
-    def backward(g):
-        if av.ndim == 1:
-            _accumulate(a, bv @ g)
-            _accumulate(b, np.outer(av, g))
-        else:
-            _accumulate(a, g @ np.swapaxes(bv, -1, -2))
-            at = np.swapaxes(av, -1, -2)
-            # One row of a: each entry of b's gradient is a single product.
-            _accumulate(b, at * g if av.shape[-2] == 1 else at @ g)
-
-    a.tape.record(out, backward)
+        a.tape.record(out, backward)
     return out
 
 
 def transpose(x: Node, axes: tuple[int, ...]) -> Node:
     """Permute axes: out.shape[i] == x.shape[axes[i]], as in np.transpose."""
     out = Node(np.transpose(x.value, axes), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            inverse = sorted(range(len(axes)), key=axes.__getitem__)
+            _accumulate_copy(x, np.transpose(g, inverse))
 
-    def backward(g):
-        inverse = sorted(range(len(axes)), key=axes.__getitem__)
-        _accumulate_copy(x, np.transpose(g, inverse))
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
 def reshape(x: Node, shape: tuple[int, ...]) -> Node:
     out = Node(x.value.reshape(shape), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate_copy(x, g.reshape(x.value.shape))
 
-    def backward(g):
-        _accumulate_copy(x, g.reshape(x.value.shape))
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
 def concat_last(a: Node, b: Node) -> Node:
     """Concatenate along the last axis."""
     out = Node(np.concatenate([a.value, b.value], axis=-1), a.tape)
-    split = a.value.shape[-1]
+    if a.tape.recording:
+        split = a.value.shape[-1]
 
-    def backward(g):
-        _accumulate_copy(a, g[..., :split])
-        _accumulate_copy(b, g[..., split:])
+        def backward(g):
+            _accumulate_copy(a, g[..., :split])
+            _accumulate_copy(b, g[..., split:])
 
-    a.tape.record(out, backward)
+        a.tape.record(out, backward)
     return out
 
 
 def slice_last(x: Node, lo: int, hi: int) -> Node:
     """x[..., lo:hi]."""
     out = Node(np.ascontiguousarray(x.value[..., lo:hi]), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            x.grad[..., lo:hi] += g
 
-    def backward(g):
-        x.grad[..., lo:hi] += g
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
@@ -516,6 +523,8 @@ def take_rows(x: Node, index) -> Node:
     is summed with a running sum instead."""
     if isinstance(index, slice):
         out = Node(x.value[index], x.tape)
+        if not x.tape.recording:
+            return out
 
         def backward(g):
             x.grad[index] += g
@@ -523,6 +532,8 @@ def take_rows(x: Node, index) -> Node:
         plan = index if isinstance(index, Segments) else None
         ids = plan.ids if plan is not None else np.asarray(index, dtype=np.intp)
         out = Node(x.value[ids], x.tape)
+        if not x.tape.recording:
+            return out
 
         def backward(g):
             grad = x.grad
@@ -545,22 +556,22 @@ def weighted_sum(x: Node, weights) -> Node:
     if w.shape != x.value.shape:
         raise DimensionError(f"weighted_sum: {x.value.shape} vs weights {w.shape}")
     out = Node(np.asarray((x.value * w).sum()), x.tape)
+    if x.tape.recording:
+        def backward(g):
+            _accumulate(x, g * w)
 
-    def backward(g):
-        _accumulate(x, g * w)
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
 def pick(v: Node, index: int) -> Node:
     """v[index] along the first axis: a scalar from a vector, a slice otherwise."""
     out = Node(np.asarray(v.value[index]), v.tape)
+    if v.tape.recording:
+        def backward(g):
+            v.grad[index] += g
 
-    def backward(g):
-        v.grad[index] += g
-
-    v.tape.record(out, backward)
+        v.tape.record(out, backward)
     return out
 
 
@@ -570,11 +581,11 @@ def logsumexp(v: Node) -> Node:
     e = np.exp(v.value - m)
     s = e.sum()
     out = Node(np.asarray(m + math.log(s)), v.tape)
+    if v.tape.recording:
+        def backward(g):
+            _accumulate(v, g * (e / s))
 
-    def backward(g):
-        _accumulate(v, g * (e / s))
-
-    v.tape.record(out, backward)
+        v.tape.record(out, backward)
     return out
 
 
@@ -615,19 +626,19 @@ def affine_norm(z: Standardized, gamma: Node, beta: Node) -> Node:
             f"layer_norm: feature dim {d}, gamma {gamma.value.shape}, beta {beta.value.shape}"
         )
     out = Node(xhat * gamma.value + beta.value, x.tape)
+    if x.tape.recording:
+        def backward(g):
+            lead = tuple(range(g.ndim - 1))
+            _accumulate(gamma, np.add.reduce(g * xhat, axis=lead))
+            _accumulate(beta, np.add.reduce(g, axis=lead))
+            dxhat = g * gamma.value
+            _accumulate(x, inv_std * (
+                dxhat
+                - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
+            ))
 
-    def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        _accumulate(gamma, np.add.reduce(g * xhat, axis=lead))
-        _accumulate(beta, np.add.reduce(g, axis=lead))
-        dxhat = g * gamma.value
-        _accumulate(x, inv_std * (
-            dxhat
-            - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
-        ))
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 
@@ -659,11 +670,11 @@ def masked_softmax_rows(scores: Node, key_mask, query_mask) -> Node:
     p = e / e.sum(axis=-1, keepdims=True)
     p[..., ~qm, :] = 0.0
     out = Node(p, scores.tape)
+    if scores.tape.recording:
+        def backward(g):
+            _accumulate(scores, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
-    def backward(g):
-        _accumulate(scores, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-
-    scores.tape.record(out, backward)
+        scores.tape.record(out, backward)
     return out
 
 
@@ -690,12 +701,12 @@ def segment_max(x: Node, segments: Segments) -> Node:
     starts = segments.starts
     value = np.maximum.reduceat(x.value, starts, axis=0)
     out = Node(value, x.tape)
+    if x.tape.recording:
+        def backward(g):
+            rows = np.where(x.value == value[seg], np.arange(seg.size)[:, None], seg.size)
+            x.grad[np.minimum.reduceat(rows, starts, axis=0), np.arange(value.shape[1])] += g
 
-    def backward(g):
-        rows = np.where(x.value == value[seg], np.arange(seg.size)[:, None], seg.size)
-        x.grad[np.minimum.reduceat(rows, starts, axis=0), np.arange(value.shape[1])] += g
-
-    x.tape.record(out, backward)
+        x.tape.record(out, backward)
     return out
 
 

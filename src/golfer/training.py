@@ -37,8 +37,11 @@ class LossBreakdown:
 
 
 def select_winner(means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> int:
-    """Index of the mode with the smallest mean L2 distance over valid steps."""
-    return int(np.argmin(mode_step_distances(means, gt, valid).mean(axis=1)))
+    """Index of the mode with the smallest mean L2 distance over valid steps.
+    The means are sums over steps / S, bitwise `ndarray.mean` without its
+    Python wrapper."""
+    dists = mode_step_distances(means, gt, valid)
+    return int(np.argmin(np.add.reduce(dists, axis=1) / dists.shape[1]))
 
 
 def _counted_steps(valid: np.ndarray, exclusion_index: int | None) -> np.ndarray:

@@ -348,6 +348,17 @@ class TestCliErrors:
         assert captured.out == ""
         assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_a_second_model_flag_of_a_one_model_command_exits_2(self, tmp_path, capsys, command):
+        """Refused before any file is read: none of these files exist."""
+        out = ["--out", str(tmp_path / "x")] if command == "predict" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--data", "d", "--model", "m", "--model", "no_such.mnmg", *out])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --model: {command} takes one model, got 2" in captured.err
+
     def test_scene_without_a_valid_future_step_exits_1(self, tmp_path, tiny_config, capsys):
         data = str(tmp_path / "scenes.jsonl")
         assert main(["generate-data", "--config", tiny_config, "--out", data]) == 0

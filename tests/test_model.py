@@ -67,8 +67,9 @@ def _rng(seed):
 
 def _latents(elements, params):
     """The (E,d) latents of `elements` packed and encoded without a goal."""
-    layout, tokens = pack_elements(elements).splice_goal(None)
-    return encode_element(Tape(), layout, tokens, params).value
+    tape = Tape()
+    layout, tokens, context = gm._projection_stage(tape, params, pack_elements(elements), None)
+    return encode_element(tape, layout, tokens, context, params).value
 
 
 def _element(seed, kind="road", points=5, invalid=()):
@@ -576,8 +577,8 @@ class TestValueOnlyForward:
             assert (value == getattr(mean_form, name)).all()
 
 
-# Name prefixes of the tiny model's parameters, in arena order: the FE stage
-# (projections, FE blocks), the interaction stage (null latents, interaction
+# Name prefixes of the tiny model's parameters, in arena order: the kind
+# projections, the FE blocks, the interaction stage (null latents, interaction
 # blocks), fusion, and the decoder and logit head that every probe runs.
 _PROBE_GROUPS = ("proj.", "fe.", "null.", "interact.", "fusion.", "decoder.", "cls.")
 
@@ -598,47 +599,70 @@ def _probe_loss(tape, scene, gc, params):
     return total
 
 
+def _fe_start(params):
+    """The arena offset of the first FE-block parameter, the first after the
+    kind projections'."""
+    return min(p.value.ctypes.data - params.values.ctypes.data
+               for name, p in params.named_parameters() if name.startswith("fe.")) // 8
+
+
 class TestProbeMemo:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16),
-           st.lists(st.tuples(st.sampled_from(_PROBE_GROUPS), st.integers(0, 2**20),
+           st.lists(st.tuples(st.sampled_from(_PROBE_GROUPS + ("edge",)), st.integers(0, 2**20),
                               st.sampled_from([1e-5, -1e-5, 0.5, -2.0]), st.booleans()),
                     min_size=1, max_size=10))
     @example(0, [("cls.", 3, 1e-5, True), ("fusion.", 5, -1e-5, False), ("proj.", 7, 0.5, True),
                  ("decoder.", 1, 1e-5, True), ("interact.", 2, -2.0, False), ("fe.", 11, 1e-5, True),
                  ("null.", 9, 0.5, True), ("fusion.", 5, 1e-5, True)])
+    @example(1, [("edge", 1, 1e-5, True), ("edge", 0, 1e-5, True), ("edge", 1, -2.0, False),
+                 ("fe.", 0, 0.5, True)])
     def test_probe_losses_are_bitwise_those_of_fresh_tapes(self, seed, steps):
         """Any sequence of one-coordinate perturbations, in any stage and
-        order, kept or restored, gives each memo probe a fresh tape's loss."""
+        order, kept or restored, gives each memo probe a fresh tape's loss.
+        The "edge" group is the last projection coordinate and the first FE
+        one, on either side of the first stage boundary in the arena. A probe
+        projects the token and context rows again exactly when a projection
+        parameter's bits changed since the memo's last probe."""
         scene, gc, params = _probe_case(seed)
         flats = {group: [p.value.reshape(-1) for name, p in params.named_parameters()
                          if name.startswith(group)] for group in _PROBE_GROUPS}
-        memo = {}
-        for group, k, delta, restore in steps:
-            flat = flats[group][k % len(flats[group])]
-            i = k // len(flats[group]) % flat.size
-            saved = flat[i]
-            flat[i] = saved + delta
-            probe = _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
-            fresh = _probe_loss(Tape(record=False), scene, gc, params)
-            assert probe.value.tobytes() == fresh.value.tobytes()
-            if restore:
-                flat[i] = saved
+        fe_start = _fe_start(params)
+        flats["edge"] = [params.values[fe_start - 1:fe_start + 1]]
+        memo, projected = {}, None
+        with mock.patch.object(gm, "_kind_rows", wraps=gm._kind_rows) as project:
+            for group, k, delta, restore in steps:
+                flat = flats[group][k % len(flats[group])]
+                i = k // len(flats[group]) % flat.size
+                saved = flat[i]
+                flat[i] = saved + delta
+                project.reset_mock()
+                probe = _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
+                now = params.values[:fe_start].tobytes()
+                assert project.call_count == (2 if now != projected else 0)
+                projected = now
+                fresh = _probe_loss(Tape(record=False), scene, gc, params)
+                assert probe.value.tobytes() == fresh.value.tobytes()
+                if restore:
+                    flat[i] = saved
 
-    @pytest.mark.parametrize("name, change, encodes, interacts", [
-        ("proj.goal.token.b", 1e-5, 1, 2),
-        ("proj.road.token.b", "negate", 1, 2),
-        ("fe.0.w3", 1e-5, 1, 2),
-        ("null.agent", 1e-5, 0, 2),
-        ("interact.road.0.w4", 1e-5, 0, 2),
-        ("fusion.1.b", 1e-5, 0, 0),
-        ("decoder.1.0.b", 1e-5, 0, 0),
-        ("cls.1.w", 1e-5, 0, 0),
+    @pytest.mark.parametrize("name, change, projections, encodes, interacts", [
+        ("proj.goal.token.b", 1e-5, 2, 1, 2),
+        ("proj.road.token.b", "negate", 2, 1, 2),
+        ("proj.goal.ctx.b", 1e-5, 2, 1, 2),
+        ("fe.0.w3", 1e-5, 0, 1, 2),
+        ("fe.0.norm_mix.gamma", 1e-5, 0, 1, 2),
+        ("null.agent", 1e-5, 0, 0, 2),
+        ("interact.road.0.w4", 1e-5, 0, 0, 2),
+        ("fusion.1.b", 1e-5, 0, 0, 0),
+        ("decoder.1.0.b", 1e-5, 0, 0, 0),
+        ("cls.1.w", 1e-5, 0, 0, 0),
     ])
-    def test_a_probe_reruns_the_stages_from_its_parameter_s_on(self, name, change, encodes,
-                                                                interacts):
-        """The arena is compared bit by bit: a zero bias negated to -0.0
-        counts as a change."""
+    def test_a_probe_reruns_the_stages_from_its_parameter_s_on(self, name, change, projections,
+                                                                encodes, interacts):
+        """The splice and both kind projections, counted through
+        `_kind_rows`, rerun only for a projection parameter. The arena is
+        compared bit by bit: a zero bias negated to -0.0 counts as a change."""
         scene, gc, params = _probe_case(1)
         memo = {}
         _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
@@ -648,11 +672,26 @@ class TestProbeMemo:
             assert flat[0] == 0.0 and np.signbit(flat[0])
         else:
             flat[0] += change
-        with mock.patch.object(gm, "encode_element", wraps=encode_element) as encode, \
+        with mock.patch.object(gm, "_kind_rows", wraps=gm._kind_rows) as project, \
+                mock.patch.object(gm, "encode_element", wraps=encode_element) as encode, \
                 mock.patch.object(gm, "interact", wraps=interact) as interaction:
             probe = _probe_loss(Tape(record=False, memo=memo), scene, gc, params)
-        assert (encode.call_count, interaction.call_count) == (encodes, interacts)
+        assert (project.call_count, encode.call_count, interaction.call_count) == (
+            projections, encodes, interacts)
         assert probe.value.tobytes() == _probe_loss(Tape(), scene, gc, params).value.tobytes()
+
+    def test_only_the_recording_pass_builds_backward_closures(self):
+        """A value-only forward and the probes of a gradient check build no
+        closure; the check's recording pass records one per op of the tiny
+        loss."""
+        scene, gc, params = _probe_case(3)
+        leaf = dict(params.named_parameters())["cls.1.b"]
+        with mock.patch.object(nm._TapeRef, "record", autospec=True,
+                               side_effect=nm._TapeRef.record) as record:
+            forward(scene, gc, params)
+            assert record.call_count == 0
+            nm.gradient_check(lambda tape: _probe_loss(tape, scene, gc, params), [leaf])
+        assert record.call_count == 100
 
     @pytest.mark.parametrize("rebuilt, encodes", [(None, 2), ("scene", 7), ("gc", 7), ("params", 7)])
     def test_a_fn_that_builds_a_new_scene_gc_or_params_per_call_reuses_no_stage(self, rebuilt,

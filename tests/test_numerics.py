@@ -363,6 +363,11 @@ class TestGradientCheck:
         with pytest.raises(ReferenceError, match="tape of this node was dropped"):
             nm.scale(node, 2.0)
 
+    def test_an_op_on_a_node_of_a_dropped_value_only_tape_gives_its_value(self):
+        """Such an op builds no closure and records nothing, so it needs no tape."""
+        node = Tape(record=False).constant(np.ones(3))
+        assert (nm.scale(node, 2.0).value == 2.0).all()
+
     def test_a_probe_that_raises_leaves_the_input_unperturbed(self):
         x = Parameter(np.array([1.0, 2.0]))
         calls = []
