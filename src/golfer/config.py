@@ -3,8 +3,8 @@
 Every key has a default, unknown keys are rejected, and the effective
 (fully-defaulted) configuration can be echoed back in the same format so a
 run is reproducible from its own output. Lines starting with '#' and blank
-lines are ignored. `_KEYS` below is the schema; defaults are the dataclass
-field defaults of the sections it names.
+lines are ignored. `_KEYS` below names each key's field and parser; a key's
+default is its field's default, and its range check its field's rule.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .model import GolferConfig
-from .scene import GENERATOR_BOUNDS as _BOUNDS, GeneratorConfig
-from .training import TrainConfig
+from .model import ACTIVATIONS, MODEL_RULES, GolferConfig
+from .scene import GENERATOR_RULES, GeneratorConfig, at_least
+from .training import TRAIN_RULES, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -46,8 +46,7 @@ _parse_float = _parser(_finite_float, "a finite number")
 _parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
 _parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",")),
                           "comma-separated integers")
-_ACTIVATIONS = ("gelu", "relu")
-_parse_activation = _parser({a: a for a in _ACTIVATIONS}.__getitem__, f"one of {_ACTIVATIONS}")
+_parse_activation = _parser({a: a for a in ACTIVATIONS}.__getitem__, f"one of {ACTIVATIONS}")
 
 
 @dataclass
@@ -61,67 +60,70 @@ class RunConfig:
     threshold_m: float = 2.0
 
 
-# A section is the RunConfig attribute that holds a key's field; "" is
-# RunConfig itself. The model's `horizon` has no key: it is `data.horizon`.
-_SECTIONS = {"data": GeneratorConfig, "model": GolferConfig, "train": TrainConfig, "": RunConfig}
+# A section is the RunConfig attribute that holds a key's field ("" is RunConfig
+# itself), with its class and rule table; only this module builds a RunConfig.
+_SECTIONS = {"data": (GeneratorConfig, GENERATOR_RULES), "model": (GolferConfig, MODEL_RULES),
+             "train": (TrainConfig, TRAIN_RULES),
+             "": (RunConfig, {"num_scenes": at_least(1), "ensemble_k": at_least(1),
+                              "ensemble_seed": at_least(0), "threshold_m": lambda v: v > 0})}
 
-# key -> (section, field, index in a (min, max) tuple field or None, parser,
-# range check or None). Declaration order is the echo order; a range's max key
-# directly follows its min key. Physical bounds keep the generator finite.
+# key -> (section, field, index in a (min, max) tuple field or None, parser).
+# Declaration order is the echo order; a range's max key directly follows its
+# min key.
 _KEYS = {
-    "data.seed": ("data", "seed", None, _parse_int, lambda v: v >= 0),
-    "data.num_scenes": ("", "num_scenes", None, _parse_int, lambda v: v >= 1),
-    "data.num_roads_min": ("data", "num_roads", 0, _parse_int, lambda v: v >= 1),
-    "data.num_roads_max": ("data", "num_roads", 1, _parse_int, None),
-    "data.num_agents_min": ("data", "num_agents", 0, _parse_int, lambda v: v >= 0),
-    "data.num_agents_max": ("data", "num_agents", 1, _parse_int, None),
-    "data.points_per_polyline": ("data", "points_per_polyline", None, _parse_int, lambda v: v >= 2),
-    "data.history_steps": ("data", "history_steps", None, _parse_int, lambda v: v >= 2),
-    "data.horizon": ("data", "horizon", None, _parse_int, lambda v: v >= 1),
-    "data.speed_min": ("data", "speed_range", 0, _parse_float, _BOUNDS["speed_range"]),
-    "data.speed_max": ("data", "speed_range", 1, _parse_float, _BOUNDS["speed_range"]),
-    "data.noise_scale": ("data", "noise_scale", None, _parse_float, _BOUNDS["noise_scale"]),
-    "data.curvature_min": ("data", "curvature_range", 0, _parse_float, _BOUNDS["curvature_range"]),
-    "data.curvature_max": ("data", "curvature_range", 1, _parse_float, _BOUNDS["curvature_range"]),
-    "data.dt": ("data", "dt", None, _parse_float, _BOUNDS["dt"]),
-    "model.d": ("model", "d", None, _parse_int, lambda v: v >= 1),
-    "model.heads": ("model", "heads", None, _parse_int, lambda v: v >= 1),
-    "model.fe_depth": ("model", "fe_depth", None, _parse_int, lambda v: v >= 1),
-    "model.interact_depth": ("model", "interact_depth", None, _parse_int, lambda v: v >= 1),
-    "model.k_modes": ("model", "k_modes", None, _parse_int, lambda v: v >= 1),
-    "model.d_ff": ("model", "d_ff", None, _parse_int, lambda v: v >= 0),
-    "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list,
-                             lambda v: min(v) >= 1),
-    "model.activation": ("model", "activation", None, _parse_activation, None),
-    "model.seed": ("model", "seed", None, _parse_int, lambda v: v >= 0),
-    "model.position_scale": ("model", "position_scale", None, _parse_float, lambda v: v > 0),
-    "model.log_sigma_scale": ("model", "log_sigma_scale", None, _parse_float, lambda v: v > 0),
-    "model.interact_proj": ("model", "interact_proj", None, _parse_bool, None),
-    "train.epochs": ("train", "epochs", None, _parse_int, lambda v: v >= 1),
-    "train.lr": ("train", "lr", None, _parse_float, lambda v: v > 0),
-    "train.lambda": ("train", "lam", None, _parse_float, lambda v: v >= 0),
-    "train.mask_ratio": ("train", "mask_ratio", None, _parse_float, lambda v: 0.0 <= v <= 1.0),
-    "train.seed": ("train", "seed", None, _parse_int, lambda v: v >= 0),
-    "ensemble.k": ("", "ensemble_k", None, _parse_int, lambda v: v >= 1),
-    "ensemble.seed": ("", "ensemble_seed", None, _parse_int, lambda v: v >= 0),
-    "metrics.threshold_m": ("", "threshold_m", None, _parse_float, lambda v: v > 0),
+    "data.seed": ("data", "seed", None, _parse_int),
+    "data.num_scenes": ("", "num_scenes", None, _parse_int),
+    "data.num_roads_min": ("data", "num_roads", 0, _parse_int),
+    "data.num_roads_max": ("data", "num_roads", 1, _parse_int),
+    "data.num_agents_min": ("data", "num_agents", 0, _parse_int),
+    "data.num_agents_max": ("data", "num_agents", 1, _parse_int),
+    "data.points_per_polyline": ("data", "points_per_polyline", None, _parse_int),
+    "data.history_steps": ("data", "history_steps", None, _parse_int),
+    "data.horizon": ("data", "horizon", None, _parse_int),
+    "data.speed_min": ("data", "speed_range", 0, _parse_float),
+    "data.speed_max": ("data", "speed_range", 1, _parse_float),
+    "data.noise_scale": ("data", "noise_scale", None, _parse_float),
+    "data.curvature_min": ("data", "curvature_range", 0, _parse_float),
+    "data.curvature_max": ("data", "curvature_range", 1, _parse_float),
+    "data.dt": ("data", "dt", None, _parse_float),
+    "model.d": ("model", "d", None, _parse_int),
+    "model.heads": ("model", "heads", None, _parse_int),
+    "model.fe_depth": ("model", "fe_depth", None, _parse_int),
+    "model.interact_depth": ("model", "interact_depth", None, _parse_int),
+    "model.k_modes": ("model", "k_modes", None, _parse_int),
+    "model.d_ff": ("model", "d_ff", None, _parse_int),
+    "model.decoder_hidden": ("model", "decoder_hidden", None, _parse_int_list),
+    "model.activation": ("model", "activation", None, _parse_activation),
+    "model.seed": ("model", "seed", None, _parse_int),
+    "model.position_scale": ("model", "position_scale", None, _parse_float),
+    "model.log_sigma_scale": ("model", "log_sigma_scale", None, _parse_float),
+    "model.interact_proj": ("model", "interact_proj", None, _parse_bool),
+    "train.epochs": ("train", "epochs", None, _parse_int),
+    "train.lr": ("train", "lr", None, _parse_float),
+    "train.lambda": ("train", "lam", None, _parse_float),
+    "train.mask_ratio": ("train", "mask_ratio", None, _parse_float),
+    "train.seed": ("train", "seed", None, _parse_int),
+    "ensemble.k": ("", "ensemble_k", None, _parse_int),
+    "ensemble.seed": ("", "ensemble_seed", None, _parse_int),
+    "metrics.threshold_m": ("", "threshold_m", None, _parse_float),
 }
 
 _PAIRS = [(lo, hi) for lo, hi in zip(_KEYS, list(_KEYS)[1:]) if _KEYS[lo][2] == 0]
+_RULES = {key: _SECTIONS[section][1].get(name) for key, (section, name, _, _) in _KEYS.items()}
 
 
 def _field_default(section: str, name: str, index: int | None):
     """A key's default, read from the dataclass field, not from an instance
     (an instance's `d_ff` is already resolved to 4*d)."""
-    default = next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
+    default = next(f.default for f in fields(_SECTIONS[section][0]) if f.name == name)
     return default if index is None else default[index]
 
 
 def _check_ranges(values: dict) -> None:
     """Raise on the first bad value: single keys, then empty or overflowing
-    (min, max) ranges, then the bounds on each end of a range."""
-    for key, (_, _, index, _, check) in _KEYS.items():
-        if check and index is None and not check(values[key]):
+    (min, max) ranges, then the rule on each end of a range."""
+    for key, (_, _, index, _) in _KEYS.items():
+        if _RULES[key] and index is None and not _RULES[key](values[key]):
             raise ConfigError(f"{key}: value {values[key]} out of range")
     for lo_key, hi_key in _PAIRS:
         lo, hi = values[lo_key], values[hi_key]
@@ -130,15 +132,14 @@ def _check_ranges(values: dict) -> None:
         if hi - lo > sys.float_info.max:
             raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is too wide")
     for key in (key for pair in _PAIRS for key in pair):
-        check = _KEYS[key][4]
-        if check and not check(values[key]):
+        if _RULES[key] and not _RULES[key](values[key]):
             raise ConfigError(f"{key}: value {values[key]} out of range")
 
 
 def _assemble(values: dict) -> RunConfig:
     _check_ranges(values)
     kwargs = {section: {} for section in _SECTIONS}
-    for key, (section, name, index, _, _) in _KEYS.items():
+    for key, (section, name, index, _) in _KEYS.items():
         owner = kwargs[section]
         owner[name] = values[key] if index is None else owner.get(name, ()) + (values[key],)
     kwargs["model"]["horizon"] = kwargs["data"]["horizon"]  # the model predicts the data horizon
@@ -191,7 +192,7 @@ def _format_value(value) -> str:
 def echo_config(cfg: RunConfig) -> str:
     """The effective configuration, re-parseable as a config file."""
     lines = []
-    for key, (section, name, index, _, _) in _KEYS.items():
+    for key, (section, name, index, _) in _KEYS.items():
         value = getattr(getattr(cfg, section) if section else cfg, name)
         lines.append(f"{key}={_format_value(value if index is None else value[index])}")
     return "\n".join(lines) + "\n"

@@ -97,7 +97,7 @@ def _primitive_builders():
         """Column 2 peaks at one value in all segments: a tie across segments only."""
         x = Parameter(rng.normal(size=(6, 4)))
         x.value[[1, 2, 5], 2] = np.abs(x.value[:, 2]).max() + 1.0
-        segments = nm.Segments([0, 0, 1, 1, 1, 2], 3)
+        segments = nm.Segments([2, 3, 1])
         return [x], lambda t: _scalarize(nm.segment_max(t.watch(x), segments))
 
     return {
@@ -162,7 +162,7 @@ def _block_builder(mix_kind: MixKind, match_kind: MatchKind, query: bool, heads:
         x = Parameter(rng.normal(size=(n, d)))
         c = Parameter(rng.normal(size=(2, d))) if query else None
         mask = np.array([True, True, False, True, True])
-        segments = nm.Segments([0, 0, 1, 1, 1], 2)
+        segments = nm.Segments([2, 3])
         leaves = [x] + ([c] if query else []) + [p for _, p in block.named_parameters()]
 
         def fn(tape):

@@ -47,7 +47,7 @@ from . import numerics as nm
 from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
 from .numerics import Node, Parameter, Tape
 from .scene import (CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, ElementPack, GoalConditioning,
-                    GoalLayout, Scene)
+                    GoalLayout, Scene, at_least, check_fields)
 
 MODEL_MAGIC = b"MNMG"
 MODEL_VERSION = 2
@@ -58,23 +58,20 @@ class ModelFormatError(ValueError):
     """A model file's magic, version, config, or tensor shapes are wrong."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+ACTIVATIONS = ("gelu", "relu")
 
-
-# Field annotation -> (check, expected form): a config embedded in a model
-# file arrives as JSON, so its values are checked by type, not only by key.
-_FIELD_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
-              "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+MODEL_RULES = {
+    **dict.fromkeys(("d", "heads", "fe_depth", "interact_depth", "k_modes"), at_least(1)),
+    "horizon": at_least(1), "d_ff": at_least(0), "seed": at_least(0),
+    "decoder_hidden": lambda v: all(w >= 1 for w in v), "activation": lambda v: v in ACTIVATIONS,
+    **dict.fromkeys(("position_scale", "log_sigma_scale"), lambda v: 0 < v < math.inf),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GolferConfig:
+    """The model's shape: frozen, and checked when built (and that heads divide d)."""
+
     d: int = 64
     heads: int = 4
     fe_depth: int = 2
@@ -90,28 +87,13 @@ class GolferConfig:
     interact_proj: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            check, expected = _FIELD_CHECKS.get(f.type, (None, None))
-            value = getattr(self, f.name)
-            if check is not None and not check(value):
-                raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
-        widths = self.decoder_hidden
-        if not isinstance(widths, (tuple, list)) or not all(_is_int(w) and w >= 1 for w in widths):
-            raise ValueError(f"decoder_hidden: expected positive integers, got {widths!r}")
-        self.decoder_hidden = tuple(widths)
-        for name, value in (("seed", self.seed), ("d_ff", self.d_ff)):
-            if value < 0:
-                raise ValueError(f"{name}: expected a non-negative integer, got {value}")
+        if isinstance(self.decoder_hidden, list):  # as a model file's JSON holds it
+            object.__setattr__(self, "decoder_hidden", tuple(self.decoder_hidden))
+        check_fields(self, MODEL_RULES)
         if self.d_ff == 0:
-            self.d_ff = 4 * self.d
-        for name in ("d", "k_modes", "horizon", "fe_depth", "interact_depth", "position_scale",
-                     "log_sigma_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
-        if self.heads < 1 or self.d % self.heads != 0:
+            object.__setattr__(self, "d_ff", 4 * self.d)
+        if self.d % self.heads != 0:
             raise ValueError(f"heads: {self.heads} must be a positive divisor of d={self.d}")
-        if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"activation: unknown activation {self.activation!r}")
 
 
 @dataclass

@@ -27,12 +27,12 @@ Conventions: matrices are 2-D float64 arrays in row-major order, vectors are
 (`matmul`, `masked_softmax_rows`, the elementwise and structural ops) treat
 leading axes, such as attention heads or decoder modes, as a batch.
 Sets of rows, such as the tokens of a scene's elements, are packed into one
-(N,d) matrix with a segment id per row, not padded. The ids are checked once,
-as a `Segments` plan, which every `take_rows` and `segment_max` over those
-rows reuses to gather to and pool from them; a (1,...) x is broadcast to k
-rows by gathering through the shared plan `one_segment(k)`. A `Standardized`
-x is likewise computed once and shared by each `affine_norm` (layer norm) of
-the same x.
+(N,d) matrix with a segment id per row, not padded. The ids are built once,
+from the sets' row counts, as a `Segments` plan, which every `take_rows` and
+`segment_max` over those rows reuses to gather to and pool from them; a
+(1,...) x is broadcast to k rows by gathering through the shared plan
+`one_segment(k)`. A `Standardized` x is likewise computed once and shared by
+each `affine_norm` (layer norm) of the same x.
 """
 
 from __future__ import annotations
@@ -445,49 +445,31 @@ def slice_last(x: Node, lo: int, hi: int) -> Node:
 
 
 class Segments:
-    """The segment ids of packed rows, checked once and shared by every
-    `take_rows` and `segment_max` over those rows.
+    """The plan of consecutive segments of counts[i] packed rows each, built
+    once and shared by every `take_rows` and `segment_max` over those rows.
 
-    Row i is in segment ids[i]; the ids run 0..count-1 in order, each over
-    at least one row, and `starts` holds each segment's first row.
+    Row i is in segment ids[i], and `starts` holds each segment's first row.
+    Ids built from counts run 0..count-1 in order by construction, so only
+    that each count is at least 1 is checked.
     """
 
     __slots__ = ("ids", "count", "starts")
 
-    def __init__(self, ids, count: int):
-        ids = np.asarray(ids, dtype=np.intp)
-        # The first row counts as a step up. Ids from 0 to count-1 that never
-        # step down and step up count times are in order and gapless.
-        steps = np.ones(ids.shape, dtype=np.intp)
-        np.subtract(ids[1:], ids[:-1], out=steps[1:])
-        starts = steps.nonzero()[0]
-        if (ids.ndim != 1 or ids.size == 0 or ids[0] != 0 or ids[-1] != count - 1
-                or starts.size != count or np.minimum.reduce(steps) < 0):
-            raise DimensionError(f"segment ids must run 0..{count - 1} in order, "
-                                 f"each over at least one row")
-        self.ids, self.count, self.starts = ids, count, starts
-
-    @classmethod
-    def from_counts(cls, counts) -> Segments:
-        """The plan of consecutive segments of counts[i] rows each. Ids built
-        from counts are in order and gapless by construction, so only that
-        each count is at least 1 is checked."""
+    def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.intp)
         if counts.ndim != 1 or counts.size == 0 or np.minimum.reduce(counts) < 1:
             raise DimensionError(f"segment counts must each be at least 1, got {counts}")
-        plan = cls.__new__(cls)
-        plan.count = counts.size
-        plan.ids = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
-        plan.starts = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=plan.starts[1:])
-        return plan
+        self.count = counts.size
+        self.ids = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+        self.starts = np.zeros(counts.size, dtype=np.intp)
+        np.cumsum(counts[:-1], out=self.starts[1:])
 
 
 @lru_cache(maxsize=256)
 def one_segment(size: int) -> Segments:
     """The read-only plan of `size` rows in one segment, built once per size.
     Gathering a (1,...) x through it repeats x `size` times."""
-    plan = Segments.from_counts([size])
+    plan = Segments([size])
     plan.ids.flags.writeable = plan.starts.flags.writeable = False
     return plan
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -121,7 +121,7 @@ def _set_plan(size: int) -> Segments | None:
 
 def _layout(kinds, counts, contexts, num_roads: int, goal_row: int | None = None) -> GoalLayout:
     """A read-only layout of these elements, with its segment and set plans."""
-    segments = Segments.from_counts(counts)
+    segments = Segments(counts)
     _frozen(kinds, counts, contexts, segments.ids, segments.starts)
     return GoalLayout(kinds=kinds, counts=counts, contexts=contexts, num_roads=num_roads,
                       goal_row=goal_row, segments=segments, road_set=_set_plan(num_roads),
@@ -335,16 +335,65 @@ def encode_goal_element(gc: GoalConditioning) -> SceneElement:
 # ---------------------------------------------------------------------------
 
 
-# Physical bounds on each end of the generator's float fields (m/s, m, 1/m,
-# s), beyond which its arc geometry overflows; the config keys check the same.
-GENERATOR_BOUNDS = {"speed_range": lambda v: abs(v) <= 100.0,
-                    "noise_scale": lambda v: 0.0 <= v <= 100.0,
-                    "curvature_range": lambda v: abs(v) <= 1.0,
-                    "dt": lambda v: 0.0 < v <= 1000.0}
+def _is(kinds):
+    """The check that a value is one of `kinds` but not a bool (an int)."""
+    return lambda v: isinstance(v, kinds) and not isinstance(v, bool)
 
 
-@dataclass
+def _tuple_of(check, size: int | None = None):
+    return lambda v: isinstance(v, tuple) and size in (None, len(v)) and all(map(check, v))
+
+
+def at_least(least):
+    return lambda v: v >= least
+
+
+# Field annotation -> (type check, expected form). A config can come from JSON
+# (a model file's); a float's finiteness is its field's rule.
+_FIELD_TYPES = {
+    "int": (_is(int), "an integer"),
+    "float": (_is((int, float)), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (_is(str), "a string"),
+    "tuple[int, ...]": (_tuple_of(_is(int)), "a tuple of integers"),
+    "tuple[int, int]": (_tuple_of(_is(int), 2), "a (min, max) pair of integers"),
+    "tuple[float, float]": (_tuple_of(_is((int, float)), 2), "a (min, max) pair of numbers"),
+}
+_PAIR_TYPES = ("tuple[int, int]", "tuple[float, float]")
+
+
+def check_fields(config, rules: dict) -> None:
+    """Raise a ValueError naming the first field of a config dataclass whose
+    value is not of its annotated type, is an empty (min, max) pair, or breaks
+    its rule in `rules` (at either end of a pair)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        check, expected = _FIELD_TYPES[f.type]
+        if not check(value):
+            raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+        pair = f.type in _PAIR_TYPES
+        if pair and value[1] < value[0]:
+            raise ValueError(f"{f.name}: range {value} is empty")
+        if f.name in rules:
+            for end in value if pair else (value,):
+                if not rules[f.name](end):
+                    raise ValueError(f"{f.name}: value {end} out of range")
+
+
+# The least counts, then the physical bounds (m/s, m, 1/m, s) that keep the
+# generator's arc geometry finite.
+GENERATOR_RULES = {
+    "seed": at_least(0), "num_roads": at_least(1), "num_agents": at_least(0),
+    "points_per_polyline": at_least(2), "history_steps": at_least(2), "horizon": at_least(1),
+    "speed_range": lambda v: abs(v) <= 100.0, "noise_scale": lambda v: 0.0 <= v <= 100.0,
+    "curvature_range": lambda v: abs(v) <= 1.0, "dt": lambda v: 0.0 < v <= 1000.0,
+}
+
+
+@dataclass(frozen=True)
 class GeneratorConfig:
+    """The scene generator's settings: frozen, and checked when built."""
+
     seed: int = 0
     num_roads: tuple[int, int] = (4, 8)
     num_agents: tuple[int, int] = (1, 4)
@@ -356,21 +405,8 @@ class GeneratorConfig:
     curvature_range: tuple[float, float] = (-0.03, 0.03)
     dt: float = 0.5
 
-    def validate(self) -> None:
-        for name in ("num_roads", "num_agents", "speed_range", "curvature_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ValueError(f"{name} range ({lo}, {hi}) is empty")
-        # Each count's least value; a range is checked at its low end.
-        for name, least in (("seed", 0), ("num_roads", 1), ("num_agents", 0), ("horizon", 1),
-                            ("points_per_polyline", 2), ("history_steps", 2)):
-            value = getattr(self, name)
-            if (value[0] if isinstance(value, tuple) else value) < least:
-                raise ValueError(f"{name} {value} is below {least}")
-        for name, within in GENERATOR_BOUNDS.items():
-            value = getattr(self, name)
-            if not all(map(within, value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{name} {value} is beyond its physical bound")
+    def __post_init__(self):
+        check_fields(self, GENERATOR_RULES)
 
 
 @dataclass
@@ -428,7 +464,6 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
     traveler's road polyline is laid out to cover its travel window so the
     upcoming geometry is observable.
     """
-    cfg.validate()
     num_roads = int(rng.integers(cfg.num_roads[0], cfg.num_roads[1] + 1))
     num_agents = int(rng.integers(cfg.num_agents[0], cfg.num_agents[1] + 1))
     hist, horizon, dt = cfg.history_steps, cfg.horizon, cfg.dt
@@ -529,7 +564,6 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
 
 def generate_dataset(cfg: GeneratorConfig, count: int) -> list[Scene]:
     """Deterministic batch: scene i draws from its own child seed stream."""
-    cfg.validate()
     children = np.random.SeedSequence(cfg.seed).spawn(count)
     return [generate_synthetic_scene(cfg, np.random.Generator(np.random.PCG64(c))) for c in children]
 

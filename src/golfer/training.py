@@ -19,7 +19,7 @@ from . import numerics as nm
 from .ensemble import mode_step_distances
 from .model import GolferConfig, ModelParams, PredictionNodes, forward_nodes, init_model_params
 from .numerics import EmptySetError, Node, Tape
-from .scene import Scene, apply_goal_masking
+from .scene import Scene, apply_goal_masking, at_least, check_fields
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -219,9 +219,16 @@ def optimizer_step(params: ModelParams, state: AdamState) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+TRAIN_RULES = {
+    "epochs": at_least(1), "lr": lambda v: 0 < v < math.inf, "lam": lambda v: 0 <= v < math.inf,
+    "mask_ratio": lambda v: 0 <= v <= 1, "seed": at_least(0), "beta1": lambda v: 0 <= v < 1,
+    "beta2": lambda v: 0 <= v < 1, "epsilon": lambda v: 0 < v < math.inf,
+}
+
+
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """Training hyperparameters: frozen, and checked when built.
 
     `lr` is the peak Adam step size: the rate starts there at step 0 and is
     cosine-annealed to zero over the run's `epochs * len(scenes)` steps.
@@ -236,15 +243,8 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
-    def validate(self) -> None:
-        """Raise naming the first field that training cannot run with."""
-        for name, usable in (("epochs", self.epochs >= 1), ("seed", self.seed >= 0),
-                             ("lr", 0 < self.lr < math.inf), ("lam", 0 <= self.lam < math.inf),
-                             ("mask_ratio", 0 <= self.mask_ratio <= 1),
-                             ("beta1", 0 <= self.beta1 < 1), ("beta2", 0 <= self.beta2 < 1),
-                             ("epsilon", 0 < self.epsilon < math.inf)):
-            if not usable:
-                raise ValueError(f"{name}: value {getattr(self, name)} out of range")
+    def __post_init__(self):
+        check_fields(self, TRAIN_RULES)
 
 
 @dataclass
@@ -280,7 +280,6 @@ def train(
             raise EmptySetError(f"scene {index} has no valid future step to train on")
         if scene.horizon != horizon:
             raise ValueError(f"scene {index} has horizon {scene.horizon}, the model's is {horizon}")
-    train_config.validate()
     if params is None:
         params = init_model_params(model_config)
     state = AdamState.create(params.values.size, train_config)

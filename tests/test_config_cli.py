@@ -1,7 +1,8 @@
 import json
+import math
 import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golfer.cli import main
-from golfer.config import ConfigError, echo_config, parse_config, parse_config_text
+from golfer.config import (_KEYS, _SECTIONS, ConfigError, echo_config, parse_config,
+                           parse_config_text)
 from golfer.model import MODEL_MAGIC, MODEL_VERSION, GolferConfig, ModelFormatError, load_params
 from golfer.scene import read_dataset, write_dataset
 
@@ -126,6 +128,33 @@ VALID_VALUES = {
 }
 
 
+# Each data, model or train key whose field has a rule -> (its section's class,
+# the field's name, its index in a (min, max) pair or None, the field).
+RULED_KEYS = {
+    key: (_SECTIONS[section][0], name, index, next(f for f in fields(_SECTIONS[section][0])
+                                                   if f.name == name))
+    for key, (section, name, index, _) in _KEYS.items()
+    if section and name in _SECTIONS[section][1]
+}
+_NEAR_BOUNDS = [math.nextafter(sign * bound, toward) for bound in (0.0, 1.0, 100.0, 1000.0)
+                for sign in (-1.0, 1.0) for toward in (-math.inf, sign * bound, math.inf)]
+
+
+@st.composite
+def ruled_key_values(draw):
+    """A ruled key and one value for it: an integer around 0-2, a float at or
+    next to 0, 1, 100 or 1000 (either sign) or any float up to 2000 in size,
+    or an activation name."""
+    key = draw(st.sampled_from(sorted(RULED_KEYS)))
+    kind = RULED_KEYS[key][3].type
+    if kind == "str":
+        return key, draw(st.sampled_from(["gelu", "relu", "tanh"]))
+    if "int" in kind:
+        return key, draw(st.integers(-2, 4))
+    return key, draw(st.one_of(st.sampled_from(_NEAR_BOUNDS),
+                               st.floats(-2000.0, 2000.0, allow_nan=False)))
+
+
 @st.composite
 def valid_config_texts(draw):
     keys = draw(st.lists(st.sampled_from(sorted(VALID_VALUES)), unique=True))
@@ -204,6 +233,30 @@ class TestParseConfig:
     def test_default_echo_is_byte_exact(self):
         assert echo_config(parse_config_text("")) == DEFAULT_ECHO
         assert set(VALID_VALUES) == {line.split("=")[0] for line in DEFAULT_ECHO.splitlines()}
+
+    @settings(max_examples=400, deadline=None)
+    @given(ruled_key_values())
+    def test_the_cli_and_the_dataclasses_refuse_the_same_values(self, key_value):
+        """A key's value is refused exactly when its section's dataclass,
+        built with that value and every other field at its default, refuses
+        it: both read the field's rule from one table."""
+        key, value = key_value
+        cls, name, index, field = RULED_KEYS[key]
+        if index is not None:
+            value = tuple(value if i == index else end for i, end in enumerate(field.default))
+        elif field.type == "tuple[int, ...]":
+            value = (value,)
+        try:
+            cls(**{name: value})
+            built = True
+        except ValueError:
+            built = False
+        try:
+            parse_config_text(f"{key}={key_value[1]}")
+            parsed = True
+        except ConfigError:
+            parsed = False
+        assert parsed == built, (key, key_value[1])
 
     @settings(max_examples=300, deadline=None)
     @given(valid_config_texts())

@@ -162,7 +162,7 @@ class TestQueryBlock:
         mask = np.array([True, True, False, True, True])
         tape = Tape()
         x_out, c_out = mnm_query(tape, tape.constant(x[mask]), tape.constant(c[None]),
-                                 nm.Segments(np.zeros(4, dtype=int), 1), block)
+                                 nm.Segments([4]), block)
         assert (x_out.value == x[mask]).all()
         expected_c = ref_max_pool(
             ref_layer_norm(x, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
@@ -175,7 +175,7 @@ class TestQueryBlock:
         x = _rng(13).normal(size=(4, 8))
         tape = Tape()
         x_out, _ = mnm_query(tape, tape.constant(x), tape.constant(np.ones((1, 8))),
-                             nm.Segments(np.zeros(4, dtype=int), 1), block)
+                             nm.Segments([4]), block)
         np.testing.assert_allclose(x_out.value, 2.0 * x, atol=1e-15)
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -191,7 +191,7 @@ class TestQueryBlock:
             x, c = rng.normal(size=(6, 8)), rng.normal(size=(2, 8))
             tape = Tape()
             x_out, c_out = mnm_query(tape, tape.constant(x), tape.constant(c),
-                                     nm.Segments(segments, 2), block)
+                                     nm.Segments([3, 3]), block)
             for e in range(2):
                 rows = segments == e
                 exp_x, exp_c = ref_mnm_query(block, x[rows], c[e], np.ones(3, dtype=bool))
@@ -210,7 +210,7 @@ class TestQueryBlock:
                 if name not in ("w1", "w2")}
         assert {name: p.value.tobytes() for name, p in query_block.named_parameters()} == kept
         x, c = _rng(15).normal(size=(5, 8)), _rng(16).normal(size=(2, 8))
-        segments = nm.Segments([0, 0, 1, 1, 1], 2)
+        segments = nm.Segments([2, 3])
         full, query_only = Tape(), Tape()
         _, c_full = mnm_query(full, full.constant(x), full.constant(c), segments, block)
         x_out, c_out = mnm_query(query_only, query_only.constant(x), query_only.constant(c),

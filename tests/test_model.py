@@ -1,7 +1,7 @@
 import hashlib
 import json
 import struct
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -103,7 +103,7 @@ class TestFeBlock:
         mask = np.array([True, True, False, True, True])
         tape = Tape()
         t_out, c_out = mnm_query(tape, tape.constant(tokens[mask]), tape.constant(context[None]),
-                                 nm.Segments(np.zeros(4, dtype=int), 1), block)
+                                 nm.Segments([4]), block)
         assert (t_out.value == tokens[mask]).all()
         expected = ref_max_pool(
             ref_layer_norm(tokens, block.norm_mix_gamma.value, block.norm_mix_beta.value), mask
@@ -115,7 +115,7 @@ class TestFeBlock:
                                query_variant=True)
         rng = _rng(3)
         tokens, context = rng.normal(size=(6, 16)), rng.normal(size=16)
-        segments = nm.Segments(np.zeros(6, dtype=int), 1)
+        segments = nm.Segments([6])
         perm = rng.permutation(6)
         tape = Tape()
         t_base, c_base = mnm_query(tape, tape.constant(tokens), tape.constant(context[None]),
@@ -176,7 +176,7 @@ class TestInteract:
         ego = _rng(9).normal(size=16)
         tape = Tape()
         out = interact(tape, tape.constant(ego[None]), tape.constant(np.ones((1, 16))),
-                       nm.Segments.from_counts([1]), [block])
+                       nm.Segments([1]), [block])
         s = ego * 1.0 + 1.0  # match(c, x) + x with x = ones: c*1 + 1
         expected = ref_max_pool(
             ref_layer_norm(s[None, :], block.norm_mix_gamma.value, block.norm_mix_beta.value),
@@ -191,7 +191,7 @@ class TestInteract:
         latents = rng.normal(size=(5, 16))
         perm = rng.permutation(5)
         tape = Tape()
-        one_set = nm.Segments.from_counts([5])
+        one_set = nm.Segments([5])
         base = interact(tape, tape.constant(ego[None]), tape.constant(latents), one_set,
                         params.agent_interact).value
         tape = Tape()
@@ -421,18 +421,17 @@ class TestScenePack:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=8))
-    def test_from_counts_is_the_checked_plan(self, counts):
-        plan = nm.Segments.from_counts(counts)
-        checked = nm.Segments(np.repeat(np.arange(len(counts)), counts), len(counts))
-        assert plan.count == checked.count
-        for name in ("ids", "starts"):
-            got, want = getattr(plan, name), getattr(checked, name)
-            assert got.dtype == want.dtype and (got == want).all(), name
+    def test_a_plan_lays_out_consecutive_segments(self, counts):
+        plan = nm.Segments(counts)
+        assert plan.count == len(counts)
+        for got, want in ((plan.ids, np.repeat(np.arange(len(counts)), counts)),
+                          (plan.starts, np.cumsum([0, *counts[:-1]]))):
+            assert got.dtype == np.intp and (got == want).all()
 
     @pytest.mark.parametrize("counts", [[0], [2, 0, 1], [3, -1], []])
-    def test_from_counts_rejects_an_empty_segment(self, counts):
+    def test_a_plan_rejects_an_empty_segment(self, counts):
         with pytest.raises(nm.DimensionError):
-            nm.Segments.from_counts(counts)
+            nm.Segments(counts)
 
     def test_a_second_forward_reuses_the_pack(self):
         from golfer import scene as scene_module
@@ -935,12 +934,24 @@ class TestModelFiles:
                 GolferConfig(decoder_hidden=widths)
 
     def test_embedded_zero_decoder_width_rejected(self, tmp_path):
-        params = init_model_params(TINY)
-        params.config.decoder_hidden = (0,)
         path = tmp_path / "m.mnmg"
-        save_params(params, path)
+        save_params(init_model_params(TINY), path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<I", blob[8:12])
+        config = {**json.loads(blob[12:12 + size]), "decoder_hidden": [0]}
+        edited = json.dumps(config, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + size:])
         with pytest.raises(ModelFormatError, match="decoder_hidden"):
             load_params(path)
+
+    def test_no_field_of_a_model_config_can_be_reassigned(self, tmp_path):
+        params = init_model_params(TINY)
+        for f in fields(TINY):
+            with pytest.raises(FrozenInstanceError):
+                setattr(params.config, f.name, getattr(params.config, f.name))
+        path = tmp_path / "m.mnmg"
+        save_params(params, path)
+        assert load_params(path).config == TINY
 
     def test_version_1_file_is_refused(self, tmp_path):
         """Version-1 files still declared a token FFN in query-only blocks; no

@@ -244,13 +244,28 @@ class TestGenerator:
         ("noise_scale", -1.0),
     ])
     def test_a_value_beyond_its_physical_bound_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} .* beyond its physical bound"):
+        with pytest.raises(ValueError, match=f"^{field}: value .* out of range$"):
             generate_dataset(GeneratorConfig(**{field: value}), 2)
 
     @pytest.mark.parametrize("field, value", [("seed", -1), ("num_agents", (-3, -1))])
     def test_a_negative_seed_or_count_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} "):
+        with pytest.raises(ValueError, match=f"^{field}: value .* out of range$"):
             generate_dataset(GeneratorConfig(**{field: value}), 2)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("num_roads", (1.5, 3), "a (min, max) pair of integers"), ("seed", 2.0, "an integer"),
+        ("seed", True, "an integer"), ("speed_range", [5.0, 15.0], "a (min, max) pair of numbers"),
+        ("dt", "0.5", "a number"),
+    ])
+    def test_a_mistyped_value_names_the_field(self, field, value, expected):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{field}: expected {expected}, got")):
+            generate_dataset(GeneratorConfig(**{field: value}), 2)
+
+    def test_no_field_of_a_generator_config_can_be_reassigned(self):
+        cfg = GeneratorConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 class TestDatasetIO:

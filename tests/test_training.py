@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -491,18 +492,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="scene 2 has horizon 8"):
             train(scenes, TINY_MODEL, TrainConfig(epochs=1))
 
-    @pytest.mark.parametrize("field, value", [
-        ("epochs", 0), ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0),
-        ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0), ("seed", -1), ("lam", -1.0),
-        ("lam", math.inf), ("mask_ratio", 1.5),
+    @pytest.mark.parametrize("field, value, message", [
+        *((field, value, f"value {value} out of range") for field, value in (
+            ("epochs", 0), ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("beta1", 1.0),
+            ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0), ("seed", -1), ("lam", -1.0),
+            ("lam", math.inf), ("mask_ratio", 1.5))),
+        ("epochs", True, "expected an integer, got True"),
+        ("lr", True, "expected a number, got True"),
+        ("epochs", 2.5, r"expected an integer, got 2\.5"),
+        ("seed", 1.5, r"expected an integer, got 1\.5"),
     ])
-    def test_an_unusable_train_config_is_named_before_step_0(self, field, value):
+    def test_an_unusable_train_config_is_named_before_step_0(self, field, value, message):
         scenes = generate_dataset(GeneratorConfig(seed=28), 2)
         params = init_model_params(TINY_MODEL)
         before = params.values.copy()
-        with pytest.raises(ValueError, match=f"^{field}: value {value} out of range$"):
+        with pytest.raises(ValueError, match=f"^{field}: {message}$"):
             train(scenes, TINY_MODEL, TrainConfig(**{"epochs": 1, field: value}), params=params)
         assert params.values.tobytes() == before.tobytes() and not params.grads.any()
+
+    def test_no_field_of_a_train_config_can_be_reassigned(self):
+        cfg = TrainConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     def test_scenes_with_one_valid_step_train(self):
         # At mask ratio 0 every step survives the coin, so a goal that could
