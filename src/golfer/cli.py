@@ -106,7 +106,7 @@ def _write_prediction_records(fh, scene_id: int, means: np.ndarray, probs: np.nd
 def _cmd_generate_data(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.data = replace(cfg.data, seed=args.seed)
+        cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
     _echo(cfg)
     scenes = generate_dataset(cfg.data, cfg.num_scenes)
     write_dataset(scenes, args.out)
@@ -117,7 +117,7 @@ def _cmd_generate_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     _echo(cfg)
     scenes = _load_scenes(args.data)
     _check_horizon(scenes, cfg.model.horizon, args.data)
@@ -169,7 +169,7 @@ def _cmd_predict(args) -> int:
 def _cmd_ensemble(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.ensemble_seed = args.seed
+        cfg = replace(cfg, ensemble_seed=args.seed)
     _echo(cfg)
     scenes = _load_scenes(args.data)
     members = [load_params(path) for path in args.model]

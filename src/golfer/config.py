@@ -4,18 +4,19 @@ Every key has a default, unknown keys are rejected, and the effective
 (fully-defaulted) configuration can be echoed back in the same format so a
 run is reproducible from its own output. Lines starting with '#' and blank
 lines are ignored. `_KEYS` below names each key's field and parser; a key's
-default is its field's default, and its range check its field's rule.
+default is its field's default. The config dataclasses are the only checker:
+the sections are built in `_SECTIONS` order, and the first field one refuses
+is named by its key, with the dataclass's reason.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
-from .model import ACTIVATIONS, MODEL_RULES, GolferConfig
-from .scene import GENERATOR_RULES, GeneratorConfig, at_least
-from .training import TRAIN_RULES, TrainConfig
+from .model import ACTIVATIONS, GolferConfig
+from .scene import FieldError, GeneratorConfig, at_least, check_fields
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -49,8 +50,15 @@ _parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",
 _parse_activation = _parser({a: a for a in ACTIVATIONS}.__getitem__, f"one of {ACTIVATIONS}")
 
 
-@dataclass
+RUN_RULES = {"num_scenes": at_least(1), "ensemble_k": at_least(1), "ensemble_seed": at_least(0),
+             "threshold_m": lambda v: 0 < v < math.inf}
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """A run's settings, frozen: each section checked itself when it was built,
+    and the run's own fields are checked against `RUN_RULES`."""
+
     data: GeneratorConfig
     model: GolferConfig
     train: TrainConfig
@@ -59,13 +67,13 @@ class RunConfig:
     ensemble_seed: int = 0
     threshold_m: float = 2.0
 
+    def __post_init__(self):
+        check_fields(self, RUN_RULES)
+
 
 # A section is the RunConfig attribute that holds a key's field ("" is RunConfig
-# itself), with its class and rule table; only this module builds a RunConfig.
-_SECTIONS = {"data": (GeneratorConfig, GENERATOR_RULES), "model": (GolferConfig, MODEL_RULES),
-             "train": (TrainConfig, TRAIN_RULES),
-             "": (RunConfig, {"num_scenes": at_least(1), "ensemble_k": at_least(1),
-                              "ensemble_seed": at_least(0), "threshold_m": lambda v: v > 0})}
+# itself), with its class, in the order they are built.
+_SECTIONS = {"data": GeneratorConfig, "model": GolferConfig, "train": TrainConfig, "": RunConfig}
 
 # key -> (section, field, index in a (min, max) tuple field or None, parser).
 # Declaration order is the echo order; a range's max key directly follows its
@@ -108,47 +116,33 @@ _KEYS = {
     "metrics.threshold_m": ("", "threshold_m", None, _parse_float),
 }
 
-_PAIRS = [(lo, hi) for lo, hi in zip(_KEYS, list(_KEYS)[1:]) if _KEYS[lo][2] == 0]
-_RULES = {key: _SECTIONS[section][1].get(name) for key, (section, name, _, _) in _KEYS.items()}
+# (section, field, end of a (min, max) field or None) -> key, to name a refused field.
+_KEY_OF = {entry[:3]: key for key, entry in _KEYS.items()}
 
 
 def _field_default(section: str, name: str, index: int | None):
     """A key's default, read from the dataclass field, not from an instance
     (an instance's `d_ff` is already resolved to 4*d)."""
-    default = next(f.default for f in fields(_SECTIONS[section][0]) if f.name == name)
+    default = next(f.default for f in fields(_SECTIONS[section]) if f.name == name)
     return default if index is None else default[index]
 
 
-def _check_ranges(values: dict) -> None:
-    """Raise on the first bad value: single keys, then empty or overflowing
-    (min, max) ranges, then the rule on each end of a range."""
-    for key, (_, _, index, _) in _KEYS.items():
-        if _RULES[key] and index is None and not _RULES[key](values[key]):
-            raise ConfigError(f"{key}: value {values[key]} out of range")
-    for lo_key, hi_key in _PAIRS:
-        lo, hi = values[lo_key], values[hi_key]
-        if hi < lo:
-            raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is empty")
-        if hi - lo > sys.float_info.max:
-            raise ConfigError(f"{hi_key}: range ({lo}, {hi}) is too wide")
-    for key in (key for pair in _PAIRS for key in pair):
-        if _RULES[key] and not _RULES[key](values[key]):
-            raise ConfigError(f"{key}: value {values[key]} out of range")
-
-
 def _assemble(values: dict) -> RunConfig:
-    _check_ranges(values)
     kwargs = {section: {} for section in _SECTIONS}
     for key, (section, name, index, _) in _KEYS.items():
         owner = kwargs[section]
         owner[name] = values[key] if index is None else owner.get(name, ()) + (values[key],)
     kwargs["model"]["horizon"] = kwargs["data"]["horizon"]  # the model predicts the data horizon
-    try:
-        model = GolferConfig(**kwargs["model"])
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-    return RunConfig(data=GeneratorConfig(**kwargs["data"]), model=model,
-                     train=TrainConfig(**kwargs["train"]), **kwargs[""])
+    for section, cls in _SECTIONS.items():
+        try:
+            built = cls(**kwargs[section])
+        except FieldError as exc:
+            raise ConfigError(f"{_KEY_OF[section, exc.field, exc.end]}: {exc.reason}") from None
+        except ValueError as exc:  # the model's heads check, which names two fields
+            raise ConfigError(f"{section}: {exc}") from None
+        if section:
+            kwargs[""][section] = built
+    return built  # the run section, built last from the others
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -8,8 +8,8 @@ encoding. The FE stack runs once per scene, over the valid token rows of all
 its elements packed into one matrix. Each scene packs its valid elements
 once, on first use (`Scene.pack`): their token rows and one `GoalLayout`
 per goal placement and horizon, or none, each built once and kept: the
-kinds, counts and contexts, the road/agent split, the FE segment plan
-that every FE block reuses and each interaction set's plan. A forward
+kinds, counts and contexts, the road/agent split and the FE segment plan
+that every FE block reuses. A forward
 builds only what depends on the goal conditioning: the goal's token rows,
 one splice of them into the scene's, each row's kind (its element's,
 through the segment plan) and the kind-slot matrices its token and context
@@ -328,15 +328,15 @@ def _fe_stage(tape: Tape, params: ModelParams, layout: GoalLayout, tokens: Node,
 def _interaction_stage(tape: Tape, params: ModelParams, layout: GoalLayout, latents: Node):
     """f_E, f_R and f_A, each (1,d); an empty set reads its null latent."""
 
-    def set_latents(start: int, plan: nm.Segments | None, null: Parameter):
-        if plan is None:
+    def set_latents(start: int, size: int, null: Parameter):
+        if size == 0:
             return nm.reshape(tape.watch(null), (1, params.config.d)), nm.one_segment(1)
-        return nm.take_rows(latents, slice(start, start + plan.ids.size)), plan
+        return nm.take_rows(latents, slice(start, start + size)), nm.one_segment(size)
 
+    roads = layout.num_roads
     f_ego = nm.take_rows(latents, slice(0, 1))
-    f_road = interact(tape, f_ego, *set_latents(1, layout.road_set, params.null_road),
-                      params.road_interact)
-    f_agent = interact(tape, f_ego, *set_latents(1 + layout.num_roads, layout.agent_set,
+    f_road = interact(tape, f_ego, *set_latents(1, roads, params.null_road), params.road_interact)
+    f_agent = interact(tape, f_ego, *set_latents(1 + roads, layout.kinds.size - 1 - roads,
                                                  params.null_agent), params.agent_interact)
     return f_ego, f_road, f_agent
 

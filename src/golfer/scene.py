@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import EmptySetError, Segments, one_segment
+from .numerics import EmptySetError, Segments
 
 TOKEN_DIM = 8
 CTX_DIM = 8
@@ -57,6 +57,15 @@ class ParseError(ValueError):
 
 class FormatError(ValueError):
     """A file header or record does not match the expected format/version."""
+
+
+class FieldError(ValueError):
+    """A config field's value is refused, for `reason`; `end` is the refused
+    end of a (min, max) pair (1 for an empty pair), None for a single field."""
+
+    def __init__(self, field: str, end: int | None, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.end, self.reason = field, end, reason
 
 
 def _owned(values, dtype) -> np.ndarray:
@@ -98,10 +107,8 @@ class GoalLayout:
     """Everything a forward reads of a pack except its token rows, for one
     goal placement and horizon or for no goal: the kinds, counts and
     contexts of the elements, the goal's among them, the road/agent split,
-    the goal's first row, the FE segment plan, whose `ids` give each row's
-    element, and each interaction set's one-segment plan (None for an empty
-    set, which reads a null latent instead). It holds no token rows and no
-    kind-slot matrix."""
+    the goal's first row and the FE segment plan, whose `ids` give each row's
+    element. It holds no token rows and no kind-slot matrix."""
 
     kinds: np.ndarray  # (E,)
     counts: np.ndarray  # (E,)
@@ -109,23 +116,14 @@ class GoalLayout:
     num_roads: int
     goal_row: int | None  # the goal's first row; None without a goal
     segments: Segments  # each row's element
-    road_set: Segments | None
-    agent_set: Segments | None
-
-
-def _set_plan(size: int) -> Segments | None:
-    """The one-segment plan of an interaction set of `size` latents, shared
-    by every layout; None for an empty set."""
-    return one_segment(size) if size else None
 
 
 def _layout(kinds, counts, contexts, num_roads: int, goal_row: int | None = None) -> GoalLayout:
-    """A read-only layout of these elements, with its segment and set plans."""
+    """A read-only layout of these elements, with its segment plan."""
     segments = Segments(counts)
     _frozen(kinds, counts, contexts, segments.ids, segments.starts)
     return GoalLayout(kinds=kinds, counts=counts, contexts=contexts, num_roads=num_roads,
-                      goal_row=goal_row, segments=segments, road_set=_set_plan(num_roads),
-                      agent_set=_set_plan(kinds.size - 1 - num_roads))
+                      goal_row=goal_row, segments=segments)
 
 
 def build_layout(base: GoalLayout, key: tuple[str, int]) -> GoalLayout:
@@ -348,6 +346,10 @@ def at_least(least):
     return lambda v: v >= least
 
 
+def _count(least):  # at most 1000, so a scene holds at most about 2e6 token rows
+    return lambda v: least <= v <= 1000
+
+
 # Field annotation -> (type check, expected form). A config can come from JSON
 # (a model file's); a float's finiteness is its field's rule.
 _FIELD_TYPES = {
@@ -363,28 +365,30 @@ _PAIR_TYPES = ("tuple[int, int]", "tuple[float, float]")
 
 
 def check_fields(config, rules: dict) -> None:
-    """Raise a ValueError naming the first field of a config dataclass whose
-    value is not of its annotated type, is an empty (min, max) pair, or breaks
-    its rule in `rules` (at either end of a pair)."""
+    """Raise a FieldError naming the first field of a config dataclass whose
+    value is not of its annotated type (for a config section, an instance of
+    its class), is an empty (min, max) pair, or breaks its rule in `rules`
+    (at either end of a pair)."""
     for f in fields(config):
         value = getattr(config, f.name)
-        check, expected = _FIELD_TYPES[f.type]
+        check, expected = _FIELD_TYPES.get(f.type, (lambda v: type(v).__name__ == f.type,
+                                                    f"a {f.type}"))
         if not check(value):
-            raise ValueError(f"{f.name}: expected {expected}, got {value!r}")
+            raise FieldError(f.name, None, f"expected {expected}, got {value!r}")
         pair = f.type in _PAIR_TYPES
         if pair and value[1] < value[0]:
-            raise ValueError(f"{f.name}: range {value} is empty")
+            raise FieldError(f.name, 1, f"range {value} is empty")
         if f.name in rules:
-            for end in value if pair else (value,):
-                if not rules[f.name](end):
-                    raise ValueError(f"{f.name}: value {end} out of range")
+            for end, v in enumerate(value) if pair else ((None, value),):
+                if not rules[f.name](v):
+                    raise FieldError(f.name, end, f"value {v} out of range")
 
 
-# The least counts, then the physical bounds (m/s, m, 1/m, s) that keep the
+# The counts' bounds, then the physical bounds (m/s, m, 1/m, s) that keep the
 # generator's arc geometry finite.
 GENERATOR_RULES = {
-    "seed": at_least(0), "num_roads": at_least(1), "num_agents": at_least(0),
-    "points_per_polyline": at_least(2), "history_steps": at_least(2), "horizon": at_least(1),
+    "seed": at_least(0), "num_roads": _count(1), "num_agents": _count(0),
+    "points_per_polyline": _count(2), "history_steps": _count(2), "horizon": _count(1),
     "speed_range": lambda v: abs(v) <= 100.0, "noise_scale": lambda v: 0.0 <= v <= 100.0,
     "curvature_range": lambda v: abs(v) <= 1.0, "dt": lambda v: 0.0 < v <= 1000.0,
 }

@@ -2,7 +2,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import numpy as np
 import pytest
@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golfer.cli import main
-from golfer.config import (_KEYS, _SECTIONS, ConfigError, echo_config, parse_config,
-                           parse_config_text)
-from golfer.model import MODEL_MAGIC, MODEL_VERSION, GolferConfig, ModelFormatError, load_params
-from golfer.scene import read_dataset, write_dataset
+from golfer.config import (_KEYS, _SECTIONS, RUN_RULES, ConfigError, RunConfig, echo_config,
+                           parse_config, parse_config_text)
+from golfer.model import (ACTIVATIONS, MODEL_MAGIC, MODEL_RULES, MODEL_VERSION, GolferConfig,
+                          ModelFormatError, load_params)
+from golfer.scene import GENERATOR_RULES, FieldError, GeneratorConfig, read_dataset, write_dataset
+from golfer.training import TRAIN_RULES, TrainConfig
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -128,13 +130,15 @@ VALID_VALUES = {
 }
 
 
-# Each data, model or train key whose field has a rule -> (its section's class,
-# the field's name, its index in a (min, max) pair or None, the field).
+_RULES_OF = {GeneratorConfig: GENERATOR_RULES, GolferConfig: MODEL_RULES, TrainConfig: TRAIN_RULES,
+             RunConfig: RUN_RULES}
+# Each key whose field has a rule -> (its section's class, the field's name,
+# its index in a (min, max) pair or None, the field).
 RULED_KEYS = {
-    key: (_SECTIONS[section][0], name, index, next(f for f in fields(_SECTIONS[section][0])
-                                                   if f.name == name))
+    key: (_SECTIONS[section], name, index, next(f for f in fields(_SECTIONS[section])
+                                                if f.name == name))
     for key, (section, name, index, _) in _KEYS.items()
-    if section and name in _SECTIONS[section][1]
+    if name in _RULES_OF[_SECTIONS[section]]
 }
 _NEAR_BOUNDS = [math.nextafter(sign * bound, toward) for bound in (0.0, 1.0, 100.0, 1000.0)
                 for sign in (-1.0, 1.0) for toward in (-math.inf, sign * bound, math.inf)]
@@ -142,15 +146,15 @@ _NEAR_BOUNDS = [math.nextafter(sign * bound, toward) for bound in (0.0, 1.0, 100
 
 @st.composite
 def ruled_key_values(draw):
-    """A ruled key and one value for it: an integer around 0-2, a float at or
-    next to 0, 1, 100 or 1000 (either sign) or any float up to 2000 in size,
-    or an activation name."""
+    """A ruled key and one value for it: an integer around 0-2, around 1000
+    or 1e20, a float at or next to 0, 1, 100 or 1000 (either sign) or any
+    float up to 2000 in size, or an activation name."""
     key = draw(st.sampled_from(sorted(RULED_KEYS)))
     kind = RULED_KEYS[key][3].type
     if kind == "str":
         return key, draw(st.sampled_from(["gelu", "relu", "tanh"]))
     if "int" in kind:
-        return key, draw(st.integers(-2, 4))
+        return key, draw(st.one_of(st.integers(-2, 4), st.integers(999, 1001), st.just(10**20)))
     return key, draw(st.one_of(st.sampled_from(_NEAR_BOUNDS),
                                st.floats(-2000.0, 2000.0, allow_nan=False)))
 
@@ -226,6 +230,15 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="model.decoder_hidden"):
                 parse_config_text(f"model.decoder_hidden={widths}")
 
+    @pytest.mark.parametrize("key", ["data.num_roads_max", "data.num_agents_max",
+                                     "data.points_per_polyline", "data.history_steps",
+                                     "data.horizon"])
+    def test_a_generator_count_of_1e20_names_the_key(self, key):
+        """Refused by the config, before any scene is generated (the generator
+        would overflow numpy's int64 or grow its lists without bound)."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: value {10**20} out of range$"):
+            parse_config_text(f"{key}={10**20}")
+
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config_text("model.d=30\nmodel.heads=4")
@@ -239,24 +252,61 @@ class TestParseConfig:
     def test_the_cli_and_the_dataclasses_refuse_the_same_values(self, key_value):
         """A key's value is refused exactly when its section's dataclass,
         built with that value and every other field at its default, refuses
-        it: both read the field's rule from one table."""
+        it, and the CLI's message is the dataclass's with the key in place of
+        the field (a run config is built with default sections)."""
         key, value = key_value
         cls, name, index, field = RULED_KEYS[key]
         if index is not None:
             value = tuple(value if i == index else end for i, end in enumerate(field.default))
         elif field.type == "tuple[int, ...]":
             value = (value,)
+        sections = (dict(data=GeneratorConfig(), model=GolferConfig(), train=TrainConfig())
+                    if cls is RunConfig else {})
         try:
-            cls(**{name: value})
-            built = True
-        except ValueError:
-            built = False
+            cls(**sections, **{name: value})
+            refused = None
+        except ValueError as exc:
+            refused = exc
         try:
             parse_config_text(f"{key}={key_value[1]}")
-            parsed = True
-        except ConfigError:
-            parsed = False
-        assert parsed == built, (key, key_value[1])
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+        if refused is None:
+            assert message is None, (key, key_value[1])
+        elif key == "model.activation":  # its parser refuses an unknown name in its own words
+            assert message == f"{key}: expected one of {ACTIVATIONS}, got {value!r}"
+        elif isinstance(refused, FieldError):  # an empty pair is named by its max key
+            named = next(k for k, (section, n, i, _) in _KEYS.items()
+                         if _SECTIONS[section] is cls and n == name and i == refused.end)
+            assert message == f"{named}: {refused.reason}", (key, key_value[1])
+        else:  # the model's heads check
+            assert message == f"model: {refused}", (key, key_value[1])
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("ensemble_k", 0, "ensemble_k: value 0 out of range"),
+        ("threshold_m", math.inf, "threshold_m: value inf out of range"),
+    ])
+    def test_a_run_config_names_a_refused_field(self, name, value, message):
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+            RunConfig(data=GeneratorConfig(), model=GolferConfig(), train=TrainConfig(),
+                      **{name: value})
+
+    def test_no_field_of_a_run_config_can_be_reassigned(self):
+        cfg = parse_config_text("")
+        for f in fields(cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
+    @pytest.mark.parametrize("text, message", [
+        ("data.num_roads_min=9\ndata.dt=0", "data.num_roads_max: range (9, 8) is empty"),
+        ("data.num_scenes=0\nmodel.d=0", "model.d: value 0 out of range"),
+    ])
+    def test_errors_are_named_in_section_order(self, text, message):
+        """The data, model and train sections are checked before the run's own
+        keys, and each section's fields in declaration order."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
 
     @settings(max_examples=300, deadline=None)
     @given(valid_config_texts())
@@ -359,14 +409,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "data.speed_max" in err and "Traceback" not in err
 
-    def test_config_range_wider_than_a_float_exits_2(self, tmp_path, capsys):
+    def test_a_range_wider_than_a_float_names_its_low_end_and_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
         for pair in ("data.speed_min=-1e308\ndata.speed_max=1e308",
                      "data.curvature_min=-1e308\ndata.curvature_max=1e308"):
             cfg.write_text(f"data.num_scenes=2\n{pair}\n")
             assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err
-            assert pair.split("\n")[1].split("=")[0] + ": range" in err and "too wide" in err
+            low_key = pair.split("=")[0]
+            assert f"{low_key}: value -1e+308 out of range" in err and "Traceback" not in err
 
     def test_generator_value_beyond_its_physical_bound_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"

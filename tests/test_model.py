@@ -399,12 +399,6 @@ class TestScenePack:
                 assert got[name].tobytes() == want.tobytes(), name
             assert layout.num_roads == len(roads)
             assert layout.segments.count == len(ref["counts"])
-            for plan, members in ((layout.road_set, roads), (layout.agent_set, agents)):
-                if not members:
-                    assert plan is None
-                else:
-                    assert plan.count == 1 and plan.starts.tolist() == [0]
-                    assert plan.ids.tolist() == [0] * len(members)
             if gc is None:
                 assert layout.goal_row is None and tokens is scene.pack.tokens
             else:

@@ -247,6 +247,17 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"^{field}: value .* out of range$"):
             generate_dataset(GeneratorConfig(**{field: value}), 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_roads", (1, 1001)), ("num_agents", (0, 10**20)), ("points_per_polyline", 1001),
+        ("history_steps", 10**20), ("horizon", 10**20),
+    ])
+    def test_a_count_above_1000_names_the_field(self, field, value):
+        """Refused when the config is built, before any scene is generated."""
+        most = (1000, 1000) if isinstance(value, tuple) else 1000
+        assert getattr(GeneratorConfig(**{field: most}), field) == most
+        with pytest.raises(ValueError, match=f"^{field}: value .* out of range$"):
+            GeneratorConfig(**{field: value})
+
     @pytest.mark.parametrize("field, value", [("seed", -1), ("num_agents", (-3, -1))])
     def test_a_negative_seed_or_count_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: value .* out of range$"):
