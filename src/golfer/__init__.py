@@ -6,7 +6,6 @@ from .ensemble import (
     ensemble_predict,
     min_ade,
     min_fde,
-    miss_rate,
     weighted_kmeans,
 )
 from .mnm import MatchKind, MixKind, MnMBlockParams, init_mnm_block, match, mix, mnm_basic, mnm_query

@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, echo_config, parse_config
-from .ensemble import DegenerateInputError, ensemble_predict, mode_step_distances
+from .ensemble import DegenerateInputError, ensemble_predict, mode_errors
 from .gradcheck import run_gradient_suite
 from .model import (
     ModelFormatError,
@@ -73,13 +73,13 @@ def _predict_all(scenes: list[Scene], params: ModelParams) -> list[Prediction]:
 
 
 def _metrics_record(scenes, means_seq, k: int, threshold_m: float) -> dict:
-    """minADE, minFDE and miss rate, as `ensemble.min_ade`, `min_fde` and
-    `miss_rate` define them, from one scoring of each scene's modes."""
-    dists = [mode_step_distances(m, s.future, s.future_mask) for m, s in zip(means_seq, scenes)]
-    fdes = [d[:, -1].min() for d in dists]
+    """Means over scenes of minADE and minFDE, each scene scored once by
+    `ensemble.mode_errors`, and the share of scenes with minFDE over `threshold_m`."""
+    errors = [mode_errors(m, s.future, s.future_mask) for m, s in zip(means_seq, scenes)]
+    fdes = [fde.min() for _, fde in errors]
     return {
         "num_samples": len(scenes),
-        "minADE": float(np.mean([d.mean(axis=1).min() for d in dists])),
+        "minADE": float(np.mean([ade.min() for ade, _ in errors])),
         "minFDE": float(np.mean(fdes)),
         "miss_rate": sum(1 for fde in fdes if fde > threshold_m) / len(fdes),
         "k": k,

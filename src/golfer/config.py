@@ -50,8 +50,9 @@ _parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",
 _parse_activation = _parser({a: a for a in ACTIVATIONS}.__getitem__, f"one of {ACTIVATIONS}")
 
 
-RUN_RULES = {"num_scenes": at_least(1), "ensemble_k": at_least(1), "ensemble_seed": at_least(0),
-             "threshold_m": lambda v: 0 < v < math.inf}
+# A default scene holds about 12 KB, 20 KB once packed.
+RUN_RULES = {"num_scenes": lambda v: 1 <= v <= 100_000, "ensemble_k": at_least(1),
+             "ensemble_seed": at_least(0), "threshold_m": lambda v: 0 < v < math.inf}
 
 
 @dataclass(frozen=True)

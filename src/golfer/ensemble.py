@@ -3,8 +3,10 @@
 Model ensembling pools every mode from every member model, weighted by its
 probability, and clusters the pool with Lloyd iterations in flattened
 trajectory space. Cluster centroids become the ensembled modes; normalized
-per-cluster weight sums become their probabilities. minADE/minFDE/miss-rate
-follow the usual multi-modal definitions, all read from `mode_step_distances`.
+per-cluster weight sums become their probabilities. `mode_errors` scores
+every mode once, as its ADE and FDE over the valid steps; minADE and minFDE
+are their minima, training's winner is the argmin of ADE, and the CLI's
+miss rate counts the scenes whose minFDE exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -160,41 +162,25 @@ def ensemble_predict(
 # ---------------------------------------------------------------------------
 
 
-def mode_step_distances(means: np.ndarray, gt: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The (K,S) L2 distances of K (T,2) modes to the (T,2) ground truth at the
-    S >= 1 steps set in the (T,) mask `steps`, in step order: a row's mean is
-    that mode's ADE and its last column its FDE. No step set: EmptySetError."""
+def mode_errors(means: np.ndarray, gt: np.ndarray,
+                steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of K (T,2) modes' (ADE, FDE) against the (T,2) ground truth, as two
+    (K,) arrays, over the S >= 1 steps set in the (T,) mask `steps`: its mean
+    L2 distance over those steps (their sum / S, bitwise `ndarray.mean`) and
+    its distance at the last of them. No step set: EmptySetError."""
     steps = np.asarray(steps, dtype=bool)
     if not steps.any():
         raise EmptySetError("no valid step to score")
     diffs = np.asarray(means)[:, steps, :] - np.asarray(gt)[steps]
-    return np.sqrt(np.add.reduce(diffs * diffs, axis=2))
+    dists = np.sqrt(np.add.reduce(diffs * diffs, axis=2))
+    return np.add.reduce(dists, axis=1) / dists.shape[1], dists[:, -1]
 
 
 def min_ade(pred_means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> float:
     """Min over modes of the mean displacement over valid steps."""
-    return float(mode_step_distances(pred_means, gt, valid).mean(axis=1).min())
+    return float(mode_errors(pred_means, gt, valid)[0].min())
 
 
 def min_fde(pred_means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> float:
     """Min over modes of the displacement at the last valid step."""
-    return float(mode_step_distances(pred_means, gt, valid)[:, -1].min())
-
-
-def miss_rate(
-    pred_means_seq: list[np.ndarray],
-    gt_seq: list[np.ndarray],
-    valid_seq: list[np.ndarray],
-    threshold_m: float = 2.0,
-) -> float:
-    """Fraction of samples whose best final displacement exceeds the threshold."""
-    if threshold_m <= 0:
-        raise ValueError("threshold_m must be positive")
-    if not pred_means_seq:
-        raise EmptySetError("miss_rate: empty dataset")
-    misses = sum(
-        1
-        for means, gt, valid in zip(pred_means_seq, gt_seq, valid_seq)
-        if min_fde(means, gt, valid) > threshold_m
-    )
-    return misses / len(pred_means_seq)
+    return float(mode_errors(pred_means, gt, valid)[1].min())

@@ -70,7 +70,7 @@ MODEL_RULES = {
 
 @dataclass(frozen=True)
 class GolferConfig:
-    """The model's shape: frozen, and checked when built (and that heads divide d)."""
+    """The model's shape: frozen, checked when built (heads divide d, parameters in budget)."""
 
     d: int = 64
     heads: int = 4
@@ -94,6 +94,7 @@ class GolferConfig:
             object.__setattr__(self, "d_ff", 4 * self.d)
         if self.d % self.heads != 0:
             raise ValueError(f"heads: {self.heads} must be a positive divisor of d={self.d}")
+        _declare_families(self, nm.Arena())  # no storage: refuses a model over the budget
 
 
 @dataclass
@@ -186,9 +187,8 @@ class ModelParams:
         self.grads.fill(0.0)
 
 
-def _declare_params(config: GolferConfig) -> ModelParams:
-    """The model's weight families in one allocated arena, every value zero."""
-    arena = nm.Arena()
+def _declare_families(config: GolferConfig, arena: nm.Arena) -> dict:
+    """The model's weight families, declared in `arena` (`ModelParams` fields)."""
     d, kinds = config.d, len(ELEMENT_KINDS)
 
     def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False,
@@ -206,7 +206,7 @@ def _declare_params(config: GolferConfig) -> ModelParams:
         return _Mlp(weights=[arena.param((*lead, *shape)) for shape in shapes],
                     biases=[arena.param((*lead, fan_out)) for _, fan_out in shapes])
 
-    families = dict(
+    return dict(
         token_w=arena.param((kinds, TOKEN_DIM, d)),
         token_b=arena.param((kinds, d)),
         ctx_w=arena.param((kinds, CTX_DIM, d)),
@@ -222,6 +222,12 @@ def _declare_params(config: GolferConfig) -> ModelParams:
         decoder=mlp([d, *config.decoder_hidden, 4 * config.horizon], lead=(config.k_modes,)),
         cls_branch=mlp([d, *config.decoder_hidden, config.k_modes]),
     )
+
+
+def _declare_params(config: GolferConfig) -> ModelParams:
+    """The model's weight families in one allocated arena, every value zero."""
+    arena = nm.Arena()
+    families = _declare_families(config, arena)
     values, grads = arena.allocate()
     return ModelParams(config=config, values=values, grads=grads, **families)
 

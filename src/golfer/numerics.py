@@ -104,6 +104,9 @@ def mapped_zeros(size: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
 
 
+ARENA_BUDGET = 20_000_000  # parameters: values, grads and Adam's moments stay under 640 MB
+
+
 class Arena:
     """Contiguous storage for a set of parameters.
 
@@ -112,14 +115,20 @@ class Arena:
     `value` and `grad` to its own stretch of them, in declaration order.
     Initial values are written into those views, never copied in. Until then
     a declared parameter's arrays are read-only stand-ins without storage.
+    The first declaration past `ARENA_BUDGET` parameters raises a ValueError;
+    shapes are counted in Python integers, and counting stops there.
     """
 
-    __slots__ = ("_declared",)
+    __slots__ = ("_declared", "size")
 
     def __init__(self):
         self._declared: list[Parameter] = []
+        self.size = 0
 
     def param(self, shape: tuple[int, ...]) -> Parameter:
+        self.size += math.prod(shape)
+        if self.size > ARENA_BUDGET:
+            raise ValueError(f"at least {self.size} parameters, over the arena budget of {ARENA_BUDGET}")
         stand_in = np.broadcast_to(np.float64(0.0), shape)
         p = Parameter(stand_in, stand_in)
         self._declared.append(p)
@@ -127,8 +136,7 @@ class Arena:
 
     def allocate(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat (values, grads) buffers, once every parameter is declared."""
-        total = sum(p.value.size for p in self._declared)
-        values, grads = mapped_zeros(total), mapped_zeros(total)
+        values, grads = mapped_zeros(self.size), mapped_zeros(self.size)
         offset = 0
         for p in self._declared:
             end = offset + p.value.size

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .ensemble import mode_step_distances
+from .ensemble import mode_errors
 from .model import GolferConfig, ModelParams, PredictionNodes, forward_nodes, init_model_params
 from .numerics import EmptySetError, Node, Tape
 from .scene import Scene, apply_goal_masking, at_least, check_fields
@@ -37,11 +37,9 @@ class LossBreakdown:
 
 
 def select_winner(means: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> int:
-    """Index of the mode with the smallest mean L2 distance over valid steps.
-    The means are sums over steps / S, bitwise `ndarray.mean` without its
-    Python wrapper."""
-    dists = mode_step_distances(means, gt, valid)
-    return int(np.argmin(np.add.reduce(dists, axis=1) / dists.shape[1]))
+    """Index of the mode with the smallest ADE over valid steps, as
+    `ensemble.mode_errors` scores it (ties go to the lowest index)."""
+    return int(np.argmin(mode_errors(means, gt, valid)[0]))
 
 
 def _counted_steps(valid: np.ndarray, exclusion_index: int | None) -> np.ndarray:

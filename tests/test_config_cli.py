@@ -92,7 +92,7 @@ _POSITIVE = _floats(0.0, 1e3, exclude_min=True)
 # every heads value, so any subset of the keys is a valid config.
 VALID_VALUES = {
     "data.seed": _ints(0, 2**32 - 1),
-    "data.num_scenes": _ints(1, 10**6),
+    "data.num_scenes": _ints(1, 10**5),
     "data.num_roads_min": _ints(1, 4),
     "data.num_roads_max": _ints(8, 20),
     "data.num_agents_min": _ints(0, 1),
@@ -239,6 +239,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: value {10**20} out of range$"):
             parse_config_text(f"{key}={10**20}")
 
+    @pytest.mark.parametrize("key", ["model.d", "model.d_ff", "model.decoder_hidden",
+                                     "model.fe_depth", "model.k_modes"])
+    def test_a_model_over_the_arena_budget_is_refused(self, key):
+        """Counted from the model's declarations in Python integers, before any
+        allocation, and only up to the first past the budget."""
+        with pytest.raises(ConfigError, match=r"^model: at least \d+ parameters, over the arena "
+                                              r"budget of 20000000$"):
+            parse_config_text(f"{key}={10**20}")
+
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config_text("model.d=30\nmodel.heads=4")
@@ -280,12 +289,13 @@ class TestParseConfig:
             named = next(k for k, (section, n, i, _) in _KEYS.items()
                          if _SECTIONS[section] is cls and n == name and i == refused.end)
             assert message == f"{named}: {refused.reason}", (key, key_value[1])
-        else:  # the model's heads check
+        else:  # the model's heads and arena budget checks
             assert message == f"model: {refused}", (key, key_value[1])
 
     @pytest.mark.parametrize("name, value, message", [
         ("ensemble_k", 0, "ensemble_k: value 0 out of range"),
         ("threshold_m", math.inf, "threshold_m: value inf out of range"),
+        ("num_scenes", 100_001, "num_scenes: value 100001 out of range"),
     ])
     def test_a_run_config_names_a_refused_field(self, name, value, message):
         with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
@@ -408,6 +418,18 @@ class TestCliErrors:
         assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "data.speed_max" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("data.num_scenes=100001", "data.num_scenes: value 100001 out of range"),
+        (f"model.d={10**20}", "model: at least 3200000000000000000000 parameters"),
+    ])
+    def test_a_config_too_big_for_memory_exits_2(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_a_range_wider_than_a_float_names_its_low_end_and_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
@@ -578,6 +600,14 @@ class TestCliErrors:
                      "--model", str(model)]) == 1
         err = capsys.readouterr().err
         assert f"{model}: bad embedded config: {key}" in err and "Traceback" not in err
+
+    def test_an_embedded_model_config_over_the_budget_is_a_format_error(self, tmp_path):
+        blob = json.dumps({**asdict(GolferConfig()), "d_ff": 10**20}).encode()
+        model = tmp_path / "huge.mnmg"
+        model.write_bytes(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(blob)) + blob)
+        with pytest.raises(ModelFormatError,
+                           match=re.escape(f"{model}: bad embedded config: at least ")):
+            load_params(model)
 
     def test_gradcheck_failure_exits_nonzero(self, monkeypatch, capsys):
         import golfer.cli as cli_mod

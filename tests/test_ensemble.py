@@ -1,20 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unittest import mock
 
 from golfer import ensemble
+from golfer.cli import _metrics_record
 from golfer.ensemble import (
     DegenerateInputError,
     WeightedTrajectorySet,
     ensemble_predict,
     min_ade,
     min_fde,
-    miss_rate,
+    mode_errors,
     weighted_kmeans,
 )
 from golfer.model import Prediction
 from golfer.numerics import EmptySetError
+from golfer.training import select_winner
 
 from oracles import check_lloyd_fixed_point, ref_min_ade, ref_min_fde
 
@@ -175,6 +182,21 @@ class TestEnsemblePredict:
             ensemble_predict([], 3, _rng(36))
 
 
+def _scored_scene(means, gt, steps=None):
+    """What `cli._metrics_record` reads of a scene, with the modes to score."""
+    steps = np.ones(gt.shape[0], dtype=bool) if steps is None else steps
+    return SimpleNamespace(means=means, future=gt, future_mask=steps)
+
+
+@st.composite
+def _scored_scenes(draw):
+    k, t = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    coords = st.floats(-50.0, 50.0)
+    return _scored_scene(draw(hnp.arrays(np.float64, (k, t, 2), elements=coords)),
+                         draw(hnp.arrays(np.float64, (t, 2), elements=coords)),
+                         draw(hnp.arrays(np.bool_, t).filter(np.any)))
+
+
 class TestMetrics:
     def test_min_ade_zero_for_exact_mode(self):
         gt = _rng(40).normal(size=(6, 2))
@@ -233,22 +255,24 @@ class TestMetrics:
         with pytest.raises(EmptySetError):
             min_ade(np.zeros((2, 4, 2)), np.zeros((4, 2)), np.zeros(4, dtype=bool))
 
-    def test_miss_rate_extremes(self):
-        gt = np.zeros((4, 2))
-        perfect = [np.zeros((2, 4, 2))] * 5
-        far = [np.full((2, 4, 2), 10.0)] * 5
-        gts, valids = [gt] * 5, [np.ones(4, dtype=bool)] * 5
-        assert miss_rate(perfect, gts, valids, 2.0) == 0.0
-        assert miss_rate(far, gts, valids, 2.0) == 1.0
-
-    def test_miss_rate_matches_per_sample_count(self):
-        rng = _rng(90)
-        gts = [rng.normal(size=(6, 2)) * 2 for _ in range(40)]
-        means = [rng.normal(size=(3, 6, 2)) * 2 for _ in range(40)]
-        valids = [np.ones(6, dtype=bool)] * 40
-        expected = np.mean([ref_min_fde(m, g, v) > 2.0 for m, g, v in zip(means, gts, valids)])
-        assert miss_rate(means, gts, valids, 2.0) == expected
-
-    def test_miss_rate_empty_dataset(self):
-        with pytest.raises(EmptySetError):
-            miss_rate([], [], [], 2.0)
+    @settings(max_examples=150, deadline=None)
+    @given(scenes=st.lists(_scored_scenes(), min_size=1, max_size=5),
+           threshold_m=st.floats(0.1, 60.0))
+    @example(scenes=[_scored_scene(np.zeros((2, 4, 2)), np.zeros((4, 2)))] * 5, threshold_m=2.0)
+    @example(scenes=[_scored_scene(np.full((2, 4, 2), 10.0), np.zeros((4, 2)))] * 5,
+             threshold_m=2.0)
+    def test_the_winner_the_metrics_and_the_record_read_mode_errors(self, scenes, threshold_m):
+        for s in scenes:
+            ade, fde = mode_errors(s.means, s.future, s.future_mask)
+            assert select_winner(s.means, s.future, s.future_mask) == np.argmin(ade)
+            assert min_ade(s.means, s.future, s.future_mask) == ade.min()
+            assert min_fde(s.means, s.future, s.future_mask) == fde.min()
+            assert abs(ade.min() - ref_min_ade(s.means, s.future, s.future_mask)) < 1e-12
+            assert abs(fde.min() - ref_min_fde(s.means, s.future, s.future_mask)) < 1e-12
+        ades = [min_ade(s.means, s.future, s.future_mask) for s in scenes]
+        fdes = [min_fde(s.means, s.future, s.future_mask) for s in scenes]
+        record = _metrics_record(scenes, [s.means for s in scenes], 2, threshold_m)
+        assert record["num_samples"] == len(scenes)
+        assert record["minADE"] == np.mean(ades)
+        assert record["minFDE"] == np.mean(fdes)
+        assert record["miss_rate"] == sum(fde > threshold_m for fde in fdes) / len(scenes)

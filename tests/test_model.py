@@ -856,6 +856,21 @@ class TestArena:
         assert (uses == 1).all()
         assert params.values.flags.c_contiguous and params.grads.flags.c_contiguous
 
+    def test_a_declaration_past_the_budget_is_refused_without_storage(self):
+        arena = nm.Arena()
+        arena.param((nm.ARENA_BUDGET,))
+        with pytest.raises(ValueError, match=f"^at least {nm.ARENA_BUDGET + 1} parameters, "
+                                             f"over the arena budget of {nm.ARENA_BUDGET}$"):
+            arena.param((1,))
+        with pytest.raises(ValueError, match="over the arena budget"):
+            nm.Arena().param((10**20, 10**20))
+
+    def test_a_config_is_refused_by_its_arena_size(self):
+        """Built only, never allocated: a config declares into a storage-free arena."""
+        GolferConfig(d=512, d_ff=2048)  # 14,454,790 parameters, under the budget
+        with pytest.raises(ValueError, match="over the arena budget"):
+            GolferConfig(d=10**6, heads=1)
+
     def test_load_params_writes_into_the_arena(self, tmp_path):
         params = init_model_params(TINY)
         path = tmp_path / "m.mnmg"
