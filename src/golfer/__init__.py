@@ -8,7 +8,7 @@ from .ensemble import (
     min_fde,
     weighted_kmeans,
 )
-from .mnm import MatchKind, MixKind, MnMBlockParams, init_mnm_block, match, mix, mnm_basic, mnm_query
+from .mnm import MatchKind, MnMBlockParams, attention_mix, init_mnm_block, match, mnm_basic, mnm_query
 from .model import (
     GolferConfig,
     ModelParams,

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .model import ACTIVATIONS, GolferConfig
+from .model import GolferConfig
+from .numerics import ACTIVATIONS
 from .scene import FieldError, GeneratorConfig, at_least, check_fields
 from .training import TrainConfig
 
@@ -47,18 +48,20 @@ _parse_float = _parser(_finite_float, "a finite number")
 _parse_bool = _parser({"true": True, "false": False}.__getitem__, "true or false")
 _parse_int_list = _parser(lambda text: tuple(int(part) for part in text.split(",")),
                           "comma-separated integers")
-_parse_activation = _parser({a: a for a in ACTIVATIONS}.__getitem__, f"one of {ACTIVATIONS}")
+_parse_activation = _parser({a: a for a in ACTIVATIONS}.__getitem__, f"one of {tuple(ACTIVATIONS)}")
 
 
 # A default scene holds about 12 KB, 20 KB once packed.
 RUN_RULES = {"num_scenes": lambda v: 1 <= v <= 100_000, "ensemble_k": at_least(1),
              "ensemble_seed": at_least(0), "threshold_m": lambda v: 0 < v < math.inf}
+# The most token rows a run's dataset may hold; 100,000 default scenes hold at most 1.3e7.
+MAX_DATASET_ROWS = 20_000_000
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """A run's settings, frozen: each section checked itself when it was built,
-    and the run's own fields are checked against `RUN_RULES`."""
+    and the run's fields are checked against `RUN_RULES` and `MAX_DATASET_ROWS`."""
 
     data: GeneratorConfig
     model: GolferConfig
@@ -70,6 +73,12 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, RUN_RULES)
+        data = self.data
+        scene_rows = (data.history_steps + data.num_roads[1] * data.points_per_polyline
+                      + data.num_agents[1] * data.history_steps)
+        if self.num_scenes * scene_rows > MAX_DATASET_ROWS:
+            raise FieldError("num_scenes", None, f"{self.num_scenes} scenes of up to {scene_rows} "
+                             f"token rows each, over the budget of {MAX_DATASET_ROWS} rows")
 
 
 # A section is the RunConfig attribute that holds a key's field ("" is RunConfig

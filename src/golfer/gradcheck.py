@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .mnm import MatchKind, MixKind, init_mnm_block, mnm_basic, mnm_query
+from .mnm import MatchKind, init_mnm_block, mnm_basic, mnm_query
 from .model import GolferConfig, decode, forward_nodes, init_model_params
 from .numerics import Node, Parameter, gradient_check
 from .scene import (
@@ -142,23 +142,19 @@ def _build_linear_map(rng):
 # ---------------------------------------------------------------------------
 
 _BLOCK_CONFIGS = [
-    ("basic/maxpool-concat", MixKind.MAX_POOL, MatchKind.CONCAT, False),
-    ("basic/maxpool-product", MixKind.MAX_POOL, MatchKind.PRODUCT, False),
-    ("basic/attention-matmul", MixKind.ATTENTION, MatchKind.ATTENTION_MATMUL, False),
-    ("query/maxpool-concat", MixKind.MAX_POOL, MatchKind.CONCAT, True),
-    ("query/maxpool-product", MixKind.MAX_POOL, MatchKind.PRODUCT, True),
+    ("basic/maxpool-concat", MatchKind.CONCAT, False),
+    ("basic/maxpool-product", MatchKind.PRODUCT, False),
+    ("basic/attention-matmul", MatchKind.ATTENTION_MATMUL, False),
+    ("query/maxpool-concat", MatchKind.CONCAT, True),
+    ("query/maxpool-product", MatchKind.PRODUCT, True),
 ]
 
 
-def _block_builder(mix_kind: MixKind, match_kind: MatchKind, query: bool, heads: int):
+def _block_builder(match_kind: MatchKind, query: bool, heads: int):
     def build(rng):
         n, d, d_ff = 5, 8, 16
-        block = init_mnm_block(
-            rng, d, heads, d_ff, mix_kind, match_kind,
-            activation="gelu", query_variant=query,
-            attn_proj=(mix_kind is MixKind.ATTENTION),
-            product_proj=(match_kind is MatchKind.PRODUCT),
-        )
+        block = init_mnm_block(rng, d, heads, d_ff, match_kind, activation="gelu",
+                               query_variant=query, proj=match_kind is not MatchKind.CONCAT)
         x = Parameter(rng.normal(size=(n, d)))
         c = Parameter(rng.normal(size=(2, d))) if query else None
         mask = np.array([True, True, False, True, True])
@@ -251,9 +247,9 @@ def primitive_checks() -> list[CheckResult]:
 
 def block_checks() -> list[CheckResult]:
     """Each block variant with one and two heads, over `BLOCK_INSTANCES` seeds."""
-    return [_check(f"{label}/h{heads}", _block_builder(mix_kind, match_kind, query, heads),
+    return [_check(f"{label}/h{heads}", _block_builder(match_kind, query, heads),
                    BLOCK_INSTANCES, BLOCK_TOL)
-            for label, mix_kind, match_kind, query in _BLOCK_CONFIGS for heads in (1, 2)]
+            for label, match_kind, query in _BLOCK_CONFIGS for heads in (1, 2)]
 
 
 def run_gradient_suite() -> list[CheckResult]:

@@ -1,12 +1,13 @@
 """Mix-and-Match token-mixing blocks.
 
 A block updates an (n,d) token matrix (and optionally a d-wide query vector)
-through pluggable stages: Mix aggregates token information into an attention
-matrix or a pooled vector, Match redistributes the aggregate onto every
-token, and a residual feed-forward refines the result. With Mix set to masked
-self-attention and Match to the attention matmul, the basic block is exactly
-a pre-norm transformer encoder layer; with max pooling and concatenation it
-is a far cheaper mixer with the same interface.
+through two stages: Mix aggregates token information, Match redistributes
+the aggregate onto every token, and a residual feed-forward refines the
+result. The Match kind fixes the Mix: with the attention matmul it is masked
+self-attention, and the basic block is exactly a pre-norm transformer encoder
+layer; with concatenation or a product it is max pooling, a far cheaper mixer
+with the same interface. One `proj` switch adds a block's optional learned
+projections: per-head Q/K to attention, (H,dh,dh) to a product Match.
 
 Heads are a leading array axis. A stage with per-head weights (attention,
 a concat Match, a product Match with its projection) splits the channels
@@ -16,7 +17,7 @@ tensor each, so it runs once over all heads as batched ops, and the result
 is merged back to (n,d) before the residual add. A product Match without a
 projection is elementwise, so it runs at full width with no split, as do
 the feed-forward layers. The coordinate-wise max makes per-group pooling
-identical to full-width pooling, so max-pool Mix runs before any split.
+identical to full-width pooling, so max pooling runs before any split.
 
 The query-conditioned block runs E token sets at once, packed as the rows of
 one (N,d) matrix with one query per set; the rows' set ids arrive as one
@@ -40,11 +41,6 @@ from . import numerics as nm
 from .numerics import DimensionError, Node, Parameter, Tape
 
 
-class MixKind(Enum):
-    ATTENTION = "attention"
-    MAX_POOL = "max_pool"
-
-
 class MatchKind(Enum):
     ATTENTION_MATMUL = "attention_matmul"
     CONCAT = "concat"
@@ -54,17 +50,14 @@ class MatchKind(Enum):
 LAYER_NORM_EPS = 1e-5
 
 
-def mix(kind: MixKind, x: Node, mask, wq: Node | None = None, wk: Node | None = None) -> Node:
-    """Aggregate token information.
+def attention_mix(x: Node, mask, wq: Node | None = None, wk: Node | None = None) -> Node:
+    """The Mix of an attention-matmul block: masked self-attention.
 
-    MAX_POOL returns the masked column-wise max of (n,d) tokens, a (d,)
-    vector. ATTENTION takes (...,n,dh) tokens, one matrix per head, and
-    returns the (...,n,n) row-softmax of (xQ)(xK)^T / sqrt(dh), with invalid
-    key columns zeroed and invalid query rows all-zero; Q and K are
-    (...,dh,dh) and default to the identity.
+    Takes (...,n,dh) tokens, one matrix per head, and returns the (...,n,n)
+    row-softmax of (xQ)(xK)^T / sqrt(dh), with invalid key columns zeroed and
+    invalid query rows all-zero; Q and K are (...,dh,dh) and default to the
+    identity. Every other block mixes by `numerics.masked_max_pool`.
     """
-    if kind is MixKind.MAX_POOL:
-        return nm.masked_max_pool(x, mask)
     q = nm.matmul(x, wq) if wq is not None else x
     k = nm.matmul(x, wk) if wk is not None else x
     last_two_swapped = (*range(x.value.ndim - 2), x.value.ndim - 1, x.value.ndim - 2)
@@ -104,10 +97,8 @@ class MnMBlockParams:
     d: int
     heads: int
     d_ff: int
-    mix: MixKind
     match: MatchKind
     activation: str
-    query_variant: bool
     norm_mix_gamma: Parameter
     norm_mix_beta: Parameter
     norm_ffn_gamma: Parameter
@@ -116,12 +107,12 @@ class MnMBlockParams:
     w1: Parameter | None
     w2: Parameter | None
     # (H,...) Match projections (absent for ATTENTION_MATMUL and for PRODUCT
-    # without an explicit projection).
+    # without `proj`).
     wm: Parameter | None = None
-    # Optional (H,dh,dh) learned attention projections.
+    # (H,dh,dh) learned attention projections, an attention block's `proj`.
     wq: Parameter | None = None
     wk: Parameter | None = None
-    # Query-variant extras.
+    # Query-variant extras (None in a basic block).
     norm_q_gamma: Parameter | None = None
     norm_q_beta: Parameter | None = None
     w3: Parameter | None = None
@@ -140,7 +131,7 @@ class MnMBlockParams:
             if family is not None:
                 for h in range(self.heads):
                     yield f"{prefix}{name}.{h}", family[h]
-        if self.query_variant:
+        if self.w3 is not None:
             yield prefix + "norm_q.gamma", self.norm_q_gamma
             yield prefix + "norm_q.beta", self.norm_q_beta
             yield prefix + "w3", self.w3
@@ -171,26 +162,27 @@ def declare_mnm_block(
     d: int,
     heads: int,
     d_ff: int,
-    mix_kind: MixKind,
     match_kind: MatchKind,
     activation: str = "gelu",
     query_variant: bool = False,
-    attn_proj: bool = False,
-    product_proj: bool = False,
+    proj: bool = False,
     update_tokens: bool = True,
 ) -> MnMBlockParams:
     """A block whose weights are declared in `arena`; `initialize` them once it
-    is allocated. A query-variant block with `update_tokens=False` has no
-    token FFN and returns only its query."""
+    is allocated. The Match kind fixes the Mix, and `proj` is the one
+    projection switch (a concat Match always has its projection and refuses
+    it). A query-variant block with `update_tokens=False` has no token FFN
+    and returns only its query."""
+    attention = match_kind is MatchKind.ATTENTION_MATMUL
     if d % heads != 0:
         raise ValueError(f"embedding dim {d} not divisible by {heads} heads")
-    if (mix_kind is MixKind.ATTENTION) != (match_kind is MatchKind.ATTENTION_MATMUL):
-        raise ValueError("attention mix pairs only with the attention matmul match")
-    if query_variant and mix_kind is not MixKind.MAX_POOL:
+    if proj and match_kind is MatchKind.CONCAT:
+        raise ValueError("a concat match always has its projection; proj is not an option")
+    if query_variant and attention:
         # An attention mix would turn the query into an (n,n) matrix, whose
         # norm/FFN widths depend on the token count; only vector-valued mixes
         # are supported here.
-        raise ValueError("query-variant blocks require a vector-valued mix (MAX_POOL)")
+        raise ValueError("query-variant blocks require a vector-valued mix, not attention")
     if not (update_tokens or query_variant):
         raise ValueError("only a query-variant block can leave its tokens out")
     dh = d // heads
@@ -198,10 +190,8 @@ def declare_mnm_block(
         d=d,
         heads=heads,
         d_ff=d_ff,
-        mix=mix_kind,
         match=match_kind,
         activation=activation,
-        query_variant=query_variant,
         norm_mix_gamma=arena.param((d,)),
         norm_mix_beta=arena.param((d,)),
         norm_ffn_gamma=arena.param((d,)),
@@ -211,9 +201,9 @@ def declare_mnm_block(
     )
     if match_kind is MatchKind.CONCAT:
         params.wm = arena.param((heads, 2 * dh, dh))
-    elif match_kind is MatchKind.PRODUCT and product_proj:
+    elif match_kind is MatchKind.PRODUCT and proj:
         params.wm = arena.param((heads, dh, dh))
-    if mix_kind is MixKind.ATTENTION and attn_proj:
+    if attention and proj:
         params.wq = arena.param((heads, dh, dh))
         params.wk = arena.param((heads, dh, dh))
     if query_variant:
@@ -224,11 +214,11 @@ def declare_mnm_block(
     return params
 
 
-def init_mnm_block(rng: np.random.Generator, d: int, heads: int, d_ff: int, mix_kind: MixKind,
+def init_mnm_block(rng: np.random.Generator, d: int, heads: int, d_ff: int,
                    match_kind: MatchKind, **options) -> MnMBlockParams:
     """A stand-alone block in an arena of its own; `options` as in `declare_mnm_block`."""
     arena = nm.Arena()
-    params = declare_mnm_block(arena, d, heads, d_ff, mix_kind, match_kind, **options)
+    params = declare_mnm_block(arena, d, heads, d_ff, match_kind, **options)
     arena.allocate()
     params.initialize(rng)
     return params
@@ -266,13 +256,13 @@ def mnm_basic(tape: Tape, x: Node, mask, params: MnMBlockParams) -> Node:
     """C <- Mix(Norm(X), M);  S <- Match(C, X) + X;  X <- FFN(Norm(S)) + S."""
     xn = nm.layer_norm(x, tape.watch(params.norm_mix_gamma), tape.watch(params.norm_mix_beta),
                        LAYER_NORM_EPS)
-    if params.mix is MixKind.ATTENTION:
+    if params.match is MatchKind.ATTENTION_MATMUL:
         wq = tape.watch(params.wq) if params.wq is not None else None
         wk = tape.watch(params.wk) if params.wk is not None else None
-        attn = mix(params.mix, _split_heads(xn, params.heads), mask, wq, wk)
+        attn = attention_mix(_split_heads(xn, params.heads), mask, wq, wk)
         matched = _merge_heads(match(params.match, attn, _split_heads(x, params.heads)))
     else:
-        pooled = nm.reshape(mix(params.mix, xn, mask), (1, params.d))
+        pooled = nm.reshape(nm.masked_max_pool(xn, mask), (1, params.d))
         rows = nm.take_rows(pooled, nm.one_segment(x.value.shape[0]))
         matched = _match_rows(tape, params, rows, x)
     s = nm.add(matched, x)
@@ -298,7 +288,7 @@ def mnm_query(tape: Tape, x: Node, c: Node, segments: nm.Segments,
     (None in its place), and its C'' is that of the same block with a token
     FFN.
     """
-    if not params.query_variant:
+    if params.w3 is None:
         raise ValueError("block was not initialized as a query-variant block")
     if c.value.shape != (segments.count, params.d):
         raise DimensionError(f"queries {c.value.shape}, expected ({segments.count},{params.d})")

@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numerics as nm
-from .mnm import MatchKind, MixKind, MnMBlockParams, declare_mnm_block, mnm_query
+from .mnm import MatchKind, MnMBlockParams, declare_mnm_block, mnm_query
 from .numerics import Node, Parameter, Tape
 from .scene import (CTX_DIM, ELEMENT_KINDS, TOKEN_DIM, ElementPack, GoalConditioning,
                     GoalLayout, Scene, at_least, check_fields)
@@ -58,12 +58,10 @@ class ModelFormatError(ValueError):
     """A model file's magic, version, config, or tensor shapes are wrong."""
 
 
-ACTIVATIONS = ("gelu", "relu")
-
 MODEL_RULES = {
     **dict.fromkeys(("d", "heads", "fe_depth", "interact_depth", "k_modes"), at_least(1)),
     "horizon": at_least(1), "d_ff": at_least(0), "seed": at_least(0),
-    "decoder_hidden": lambda v: all(w >= 1 for w in v), "activation": lambda v: v in ACTIVATIONS,
+    "decoder_hidden": lambda v: all(w >= 1 for w in v), "activation": lambda v: v in nm.ACTIVATIONS,
     **dict.fromkeys(("position_scale", "log_sigma_scale"), lambda v: 0 < v < math.inf),
 }
 
@@ -191,13 +189,12 @@ def _declare_families(config: GolferConfig, arena: nm.Arena) -> dict:
     """The model's weight families, declared in `arena` (`ModelParams` fields)."""
     d, kinds = config.d, len(ELEMENT_KINDS)
 
-    def query_blocks(count: int, match_kind: MatchKind, product_proj: bool = False,
+    def query_blocks(count: int, match_kind: MatchKind, proj: bool = False,
                      tokens_out: bool = True):
         """A stack of query blocks; without `tokens_out` its last block is query-only."""
         return [declare_mnm_block(arena, d=d, heads=config.heads, d_ff=config.d_ff,
-                                  mix_kind=MixKind.MAX_POOL, match_kind=match_kind,
-                                  activation=config.activation, query_variant=True,
-                                  product_proj=product_proj,
+                                  match_kind=match_kind, activation=config.activation,
+                                  query_variant=True, proj=proj,
                                   update_tokens=tokens_out or i < count - 1)
                 for i in range(count)]
 

@@ -366,12 +366,14 @@ def gelu(x: Node) -> Node:
     return out
 
 
+ACTIVATIONS = {"gelu": gelu, "relu": relu}
+
+
 def activation(x: Node, kind: str) -> Node:
-    if kind == "relu":
-        return relu(x)
-    if kind == "gelu":
-        return gelu(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
+    op = ACTIVATIONS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown activation kind {kind!r}")
+    return op(x)
 
 
 # ---------------------------------------------------------------------------

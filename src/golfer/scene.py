@@ -272,8 +272,8 @@ def apply_goal_masking(future: np.ndarray, rng: np.random.Generator, mask_ratio:
     kept uniformly at random. Placement between the agent and road sets is a
     fair coin.
     """
-    if not 0.0 <= mask_ratio <= 1.0:
-        raise ValueError(f"mask_ratio must be in [0,1], got {mask_ratio}")
+    if not MASKING_RULES["mask_ratio"](mask_ratio):
+        raise FieldError("mask_ratio", None, f"value {mask_ratio} out of range")
     future = np.asarray(future, dtype=np.float64)
     t_steps = future.shape[0]
     valid = np.asarray(valid, dtype=bool)
@@ -383,6 +383,9 @@ def check_fields(config, rules: dict) -> None:
                 if not rules[f.name](v):
                     raise FieldError(f.name, end, f"value {v} out of range")
 
+
+# Goal masking's rule, which `TrainConfig` also checks its field with.
+MASKING_RULES = {"mask_ratio": lambda v: 0 <= v <= 1}
 
 # The counts' bounds, then the physical bounds (m/s, m, 1/m, s) that keep the
 # generator's arc geometry finite.

@@ -19,7 +19,7 @@ from . import numerics as nm
 from .ensemble import mode_errors
 from .model import GolferConfig, ModelParams, PredictionNodes, forward_nodes, init_model_params
 from .numerics import EmptySetError, Node, Tape
-from .scene import Scene, apply_goal_masking, at_least, check_fields
+from .scene import MASKING_RULES, Scene, apply_goal_masking, at_least, check_fields
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -219,7 +219,7 @@ def optimizer_step(params: ModelParams, state: AdamState) -> None:
 
 TRAIN_RULES = {
     "epochs": at_least(1), "lr": lambda v: 0 < v < math.inf, "lam": lambda v: 0 <= v < math.inf,
-    "mask_ratio": lambda v: 0 <= v <= 1, "seed": at_least(0), "beta1": lambda v: 0 <= v < 1,
+    **MASKING_RULES, "seed": at_least(0), "beta1": lambda v: 0 <= v < 1,
     "beta2": lambda v: 0 <= v < 1, "epsilon": lambda v: 0 < v < math.inf,
 }
 

@@ -96,7 +96,7 @@ def ref_mnm_basic(block, x, mask):
     """C <- Mix(Norm(X)); S <- Match(C,X)+X; X <- act(Norm(S)W1)W2 + S."""
     w = named_values(block)
     xn = ref_layer_norm(x, w["norm_mix.gamma"], w["norm_mix.beta"])
-    if block.mix.value == "attention":
+    if block.match.value == "attention_matmul":
         parts = []
         for h, (lo, hi) in enumerate(_head_slices(block.d, block.heads)):
             xn_h = xn[:, lo:hi]

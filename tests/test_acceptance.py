@@ -13,7 +13,7 @@ import pytest
 from golfer.cli import main
 from golfer.ensemble import WeightedTrajectorySet, min_ade, min_fde, weighted_kmeans
 from golfer.gradcheck import run_gradient_suite
-from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_basic
+from golfer.mnm import MatchKind, init_mnm_block, mnm_basic
 from golfer.model import GolferConfig, encode_scene, forward, init_model_params
 from golfer.numerics import Tape
 from golfer.scene import (
@@ -78,8 +78,7 @@ def test_criterion_2_transformer_subsumption():
     case = 0
     for heads in (1, 2):
         for _ in range(25):
-            block = init_mnm_block(_rng(case), 8, heads, 16, MixKind.ATTENTION,
-                                   MatchKind.ATTENTION_MATMUL)
+            block = init_mnm_block(_rng(case), 8, heads, 16, MatchKind.ATTENTION_MATMUL)
             x = _rng(case + 1000).normal(size=(6, 8))
             mask = np.ones(6, dtype=bool)
             tape = Tape()

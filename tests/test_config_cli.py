@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from golfer.cli import main
 from golfer.config import (_KEYS, _SECTIONS, RUN_RULES, ConfigError, RunConfig, echo_config,
                            parse_config, parse_config_text)
-from golfer.model import (ACTIVATIONS, MODEL_MAGIC, MODEL_RULES, MODEL_VERSION, GolferConfig,
+from golfer.model import (MODEL_MAGIC, MODEL_RULES, MODEL_VERSION, GolferConfig,
                           ModelFormatError, load_params)
 from golfer.scene import GENERATOR_RULES, FieldError, GeneratorConfig, read_dataset, write_dataset
 from golfer.training import TRAIN_RULES, TrainConfig
@@ -88,11 +88,13 @@ def _floats(lo, hi, exclude_min=False):
 _POSITIVE = _floats(0.0, 1e3, exclude_min=True)
 
 # One strategy of valid value texts per key. Each half of a *_min/*_max pair
-# stays on its side of the other half's default, and model.d is a multiple of
-# every heads value, so any subset of the keys is a valid config.
+# stays on its side of the other half's default, model.d is a multiple of
+# every heads value, and 10**4 of the largest scenes these values allow (1,984
+# token rows each) fit `MAX_DATASET_ROWS`, so any subset of the keys is a valid
+# config.
 VALID_VALUES = {
     "data.seed": _ints(0, 2**32 - 1),
-    "data.num_scenes": _ints(1, 10**5),
+    "data.num_scenes": _ints(1, 10**4),
     "data.num_roads_min": _ints(1, 4),
     "data.num_roads_max": _ints(8, 20),
     "data.num_agents_min": _ints(0, 1),
@@ -248,6 +250,25 @@ class TestParseConfig:
                                               r"budget of 20000000$"):
             parse_config_text(f"{key}={10**20}")
 
+    def test_a_dataset_over_the_row_budget_is_refused(self, tmp_path, capsys):
+        """Counted from the config, before any scene is generated: 100,000
+        default scenes fit, 100,000 scenes of 100 roads and 100 agents of 100
+        points each do not."""
+        assert parse_config_text("data.num_scenes=100000").num_scenes == 100_000
+        large = {"num_roads": (100, 100), "num_agents": (100, 100), "points_per_polyline": 100,
+                 "history_steps": 100}
+        with pytest.raises(FieldError, match=r"^num_scenes: 100000 scenes of up to 20100 token"):
+            RunConfig(data=GeneratorConfig(**large), model=GolferConfig(), train=TrainConfig(),
+                      num_scenes=100_000)
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text("data.num_scenes=100000\n" + "".join(
+            f"data.{key}=100\n" for key in ("num_roads_min", "num_roads_max", "num_agents_min",
+                                             "num_agents_max", "points_per_polyline",
+                                             "history_steps")))
+        assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: data.num_scenes: 100000 scenes of")
+        assert not (tmp_path / "x").exists()
+
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config_text("model.d=30\nmodel.heads=4")
@@ -284,7 +305,7 @@ class TestParseConfig:
         if refused is None:
             assert message is None, (key, key_value[1])
         elif key == "model.activation":  # its parser refuses an unknown name in its own words
-            assert message == f"{key}: expected one of {ACTIVATIONS}, got {value!r}"
+            assert message == f"{key}: expected one of ('gelu', 'relu'), got {value!r}"
         elif isinstance(refused, FieldError):  # an empty pair is named by its max key
             named = next(k for k, (section, n, i, _) in _KEYS.items()
                          if _SECTIONS[section] is cls and n == name and i == refused.end)

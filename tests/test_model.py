@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import golfer.model as gm
 import golfer.numerics as nm
 from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
-from golfer.mnm import MatchKind, MixKind, init_mnm_block, mnm_query
+from golfer.mnm import MatchKind, init_mnm_block, mnm_query
 from golfer.model import (
     GolferConfig,
     ModelFormatError,
@@ -93,8 +93,7 @@ def _scene(seed, num_roads=2, num_agents=2):
 
 class TestFeBlock:
     def test_zero_weights_identity_and_pooled_context(self):
-        block = init_mnm_block(_rng(0), 16, 2, 32, MixKind.MAX_POOL, MatchKind.CONCAT,
-                               query_variant=True)
+        block = init_mnm_block(_rng(0), 16, 2, 32, MatchKind.CONCAT, query_variant=True)
         block.w2.value[...] = 0.0
         block.w4.value[...] = 0.0
         block.wm.value[...] = 0.0
@@ -111,8 +110,7 @@ class TestFeBlock:
         np.testing.assert_allclose(c_out.value[0], expected, atol=1e-15)
 
     def test_permuting_tokens_permutes_output_and_fixes_context(self):
-        block = init_mnm_block(_rng(2), 16, 2, 32, MixKind.MAX_POOL, MatchKind.CONCAT,
-                               query_variant=True)
+        block = init_mnm_block(_rng(2), 16, 2, 32, MatchKind.CONCAT, query_variant=True)
         rng = _rng(3)
         tokens, context = rng.normal(size=(6, 16)), rng.normal(size=16)
         segments = nm.Segments([6])

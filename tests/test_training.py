@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from golfer import training
 from golfer.cli import main
+from golfer.ensemble import min_ade
 from golfer.gradcheck import TINY_CONFIG as GRADCHECK_TINY
 from golfer.model import GolferConfig, forward, forward_nodes, init_model_params
 from golfer.numerics import EmptySetError, Parameter, Tape
 from golfer.scene import (
+    FieldError,
     GeneratorConfig,
     apply_goal_masking,
     generate_dataset,
@@ -510,6 +512,15 @@ class TestTrainLoop:
             train(scenes, TINY_MODEL, TrainConfig(**{"epochs": 1, field: value}), params=params)
         assert params.values.tobytes() == before.tobytes() and not params.grads.any()
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, math.nan])
+    def test_goal_masking_and_the_train_config_refuse_a_mask_ratio_alike(self, ratio):
+        with pytest.raises(FieldError) as masking:
+            apply_goal_masking(np.zeros((4, 2)), np.random.default_rng(0), ratio,
+                               np.ones(4, dtype=bool))
+        with pytest.raises(FieldError) as config:
+            TrainConfig(mask_ratio=ratio)
+        assert str(masking.value) == str(config.value) == f"mask_ratio: value {ratio} out of range"
+
     def test_no_field_of_a_train_config_can_be_reassigned(self):
         cfg = TrainConfig()
         for f in dataclasses.fields(cfg):
@@ -525,6 +536,30 @@ class TestTrainLoop:
             scene.future_mask[index] = True
         _, trace = train(scenes, TINY_MODEL, TrainConfig(epochs=4, mask_ratio=0.0, seed=0))
         assert len(trace) == 32 and all(math.isfinite(rec.total) for rec in trace)
+
+
+def _mirrored(scene):
+    """The scene with its future mirrored across the ego's heading (+x): y -> -y."""
+    return dataclasses.replace(scene, future=scene.future * [1.0, -1.0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="hard winner-take-all trains one mode, which predicts between the "
+                          "branches (ROADMAP Direction 1)")
+def test_a_forked_future_is_predicted_on_both_branches():
+    """Each training scene appears twice, with the same inputs and with its
+    future mirrored, so a multi-modal model should put a mode on each branch.
+    Held out, the worse branch's minADE should be under half the mean |y|."""
+    base = generate_dataset(GeneratorConfig(), 128 + 64)
+    forks = [fork for scene in base[:128] for fork in (scene, _mirrored(scene))]
+    params, _ = train(forks, GolferConfig(), TrainConfig(epochs=4))
+    held_out = base[128:]
+    gc = prediction_conditioning(GolferConfig().horizon)
+    means = [forward(scene, gc, params).means for scene in held_out]
+    branch_ade = [np.mean([min_ade(m, s.future * [1.0, sign], s.future_mask)
+                           for m, s in zip(means, held_out)]) for sign in (1.0, -1.0)]
+    mean_abs_y = np.mean([np.abs(s.future[s.future_mask, 1]).mean() for s in held_out])
+    assert max(branch_ade) < 0.5 * mean_abs_y, (branch_ade, mean_abs_y)
 
 
 def test_tape_records_per_default_training_sample_within_budget():
