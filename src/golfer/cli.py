@@ -36,7 +36,7 @@ from .scene import (
     ParseError,
     Scene,
     constant_velocity_baseline,
-    generate_dataset,
+    generate_scenes,
     prediction_conditioning,
     read_dataset,
     to_json_text,
@@ -104,13 +104,13 @@ def _write_prediction_records(fh, scene_id: int, means: np.ndarray, probs: np.nd
 
 
 def _cmd_generate_data(args) -> int:
+    """Write each scene as it is generated, so the command holds one scene."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, data=replace(cfg.data, seed=args.seed))
     _echo(cfg)
-    scenes = generate_dataset(cfg.data, cfg.num_scenes)
-    write_dataset(scenes, args.out)
-    print(f"wrote {len(scenes)} scenes to {args.out}", file=sys.stderr)
+    write_dataset(generate_scenes(cfg.data, cfg.num_scenes), args.out)
+    print(f"wrote {cfg.num_scenes} scenes to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -90,9 +90,11 @@ def match(kind: MatchKind, c: Node, x: Node, wm: Node | None = None) -> Node:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MnMBlockParams:
-    """Weights for one block; per-head weights are stacked on a leading head axis."""
+    """Weights for one block; per-head weights are stacked on a leading head axis.
+    Frozen, so a block keeps the kind its weights were declared for; the
+    weights themselves stay writable through `Parameter.value`."""
 
     d: int
     heads: int
@@ -186,7 +188,11 @@ def declare_mnm_block(
     if not (update_tokens or query_variant):
         raise ValueError("only a query-variant block can leave its tokens out")
     dh = d // heads
-    params = MnMBlockParams(
+    concat = match_kind is MatchKind.CONCAT
+    match_proj = concat or (proj and match_kind is MatchKind.PRODUCT)
+    # Keyword arguments are evaluated in order, so the arena lays the weights
+    # out as listed here.
+    return MnMBlockParams(
         d=d,
         heads=heads,
         d_ff=d_ff,
@@ -198,20 +204,14 @@ def declare_mnm_block(
         norm_ffn_beta=arena.param((d,)),
         w1=arena.param((d, d_ff)) if update_tokens else None,
         w2=arena.param((d_ff, d)) if update_tokens else None,
+        wm=arena.param((heads, 2 * dh if concat else dh, dh)) if match_proj else None,
+        wq=arena.param((heads, dh, dh)) if attention and proj else None,
+        wk=arena.param((heads, dh, dh)) if attention and proj else None,
+        norm_q_gamma=arena.param((d,)) if query_variant else None,
+        norm_q_beta=arena.param((d,)) if query_variant else None,
+        w3=arena.param((d, d_ff)) if query_variant else None,
+        w4=arena.param((d_ff, d)) if query_variant else None,
     )
-    if match_kind is MatchKind.CONCAT:
-        params.wm = arena.param((heads, 2 * dh, dh))
-    elif match_kind is MatchKind.PRODUCT and proj:
-        params.wm = arena.param((heads, dh, dh))
-    if attention and proj:
-        params.wq = arena.param((heads, dh, dh))
-        params.wk = arena.param((heads, dh, dh))
-    if query_variant:
-        params.norm_q_gamma = arena.param((d,))
-        params.norm_q_beta = arena.param((d,))
-        params.w3 = arena.param((d, d_ff))
-        params.w4 = arena.param((d_ff, d))
-    return params
 
 
 def init_mnm_block(rng: np.random.Generator, d: int, heads: int, d_ff: int,

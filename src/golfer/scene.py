@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -569,10 +570,19 @@ def generate_synthetic_scene(cfg: GeneratorConfig, rng: np.random.Generator) -> 
     )
 
 
+def generate_scenes(cfg: GeneratorConfig, count: int) -> Iterator[Scene]:
+    """Deterministic stream: scene i draws from the i-th child seed stream of
+    `cfg.seed`. Children are spawned one at a time (the same children as one
+    `spawn(count)`), so the stream holds one scene and one seed at a time."""
+    seeds = np.random.SeedSequence(cfg.seed)
+    for _ in range(count):
+        (child,) = seeds.spawn(1)
+        yield generate_synthetic_scene(cfg, np.random.Generator(np.random.PCG64(child)))
+
+
 def generate_dataset(cfg: GeneratorConfig, count: int) -> list[Scene]:
-    """Deterministic batch: scene i draws from its own child seed stream."""
-    children = np.random.SeedSequence(cfg.seed).spawn(count)
-    return [generate_synthetic_scene(cfg, np.random.Generator(np.random.PCG64(c))) for c in children]
+    """Deterministic batch: the scenes of `generate_scenes`, as a list."""
+    return list(generate_scenes(cfg, count))
 
 
 def constant_velocity_baseline(scene: Scene) -> np.ndarray:
@@ -670,7 +680,8 @@ def _reject_bools(rec: dict) -> None:
             raise ValueError(f"{field}: expected numbers, got a true/false value")
 
 
-def write_dataset(scenes: list[Scene], path) -> None:
+def write_dataset(scenes: Iterable[Scene], path) -> None:
+    """Write a header line, then one record line per scene as `scenes` yields it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json_text({"format": DATASET_FORMAT, "version": DATASET_VERSION}) + "\n")
         for scene in scenes:
@@ -691,48 +702,65 @@ def _is_version(value) -> bool:
     return type(value) is int and value == DATASET_VERSION
 
 
-def read_dataset(path) -> list[Scene]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    numbered = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not numbered:
-        return []
-    header_no, header_line = numbered[0]
+def _numbered_lines(fh) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of an open text file, one at a time, each with its
+    number in `str.splitlines()` of the whole text: a physical line that holds
+    another line break (`\\f`, `\\u2028`, ...) counts as several lines."""
+    number = 0
+    for physical in fh:
+        for line in physical.splitlines():
+            number += 1
+            if line.strip():
+                yield number, line
+
+
+def _scene_from_line(line_no: int, line: str) -> Scene:
     try:
-        header = json.loads(header_line)
+        rec = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {header_no}: malformed header ({exc.msg})") from exc
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise FormatError(f"line {header_no}: not a {DATASET_FORMAT} file")
-    if not _is_version(header.get("version")):
-        raise FormatError(
-            f"line {header_no}: unsupported version {header.get('version')} (expected {DATASET_VERSION})"
+        raise ParseError(f"line {line_no}: malformed record ({exc.msg})") from exc
+    try:
+        if not _is_version(rec["version"]):
+            raise FormatError(f"line {line_no}: record version {rec['version']}")
+        scene = Scene(
+            ego=_element_from_record(rec["ego"], "ego"),
+            agents=[_element_from_record(a, "agents", i) for i, a in enumerate(rec["agents"])],
+            roads=[_element_from_record(r, "roads", i) for i, r in enumerate(rec["roads"])],
+            future=_typed(rec["future"], _NUMBERS, "future"),
+            future_mask=_typed(rec["future_mask"], _BOOLS, "future_mask"),
         )
-    scenes = []
-    for line_no, line in numbered[1:]:
+        # Masks hold every true/false of a well-formed record; only a line
+        # with another count is scanned for one in a numeric array.
+        mask_values = scene.future_mask.size + sum(
+            e.mask.size for e in (scene.ego, *scene.agents, *scene.roads))
+        if line.count("true") + line.count("false") != mask_values:
+            _reject_bools(rec)
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, FormatError):
+            raise
+        raise ParseError(f"line {line_no}: invalid scene record ({exc})") from exc
+    return scene
+
+
+def read_dataset(path) -> list[Scene]:
+    """The scenes of a dataset file, read as a stream: the first non-blank
+    line is the header, and each later one is parsed into its scene as it
+    arrives, so a read holds the scenes plus one line. An error names the line
+    by its number in `str.splitlines()` of the whole text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _numbered_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            return []
+        header_no, header_line = first
         try:
-            rec = json.loads(line)
+            header = json.loads(header_line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"line {line_no}: malformed record ({exc.msg})") from exc
-        try:
-            if not _is_version(rec["version"]):
-                raise FormatError(f"line {line_no}: record version {rec['version']}")
-            scene = Scene(
-                ego=_element_from_record(rec["ego"], "ego"),
-                agents=[_element_from_record(a, "agents", i) for i, a in enumerate(rec["agents"])],
-                roads=[_element_from_record(r, "roads", i) for i, r in enumerate(rec["roads"])],
-                future=_typed(rec["future"], _NUMBERS, "future"),
-                future_mask=_typed(rec["future_mask"], _BOOLS, "future_mask"),
+            raise ParseError(f"line {header_no}: malformed header ({exc.msg})") from exc
+        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+            raise FormatError(f"line {header_no}: not a {DATASET_FORMAT} file")
+        if not _is_version(header.get("version")):
+            raise FormatError(
+                f"line {header_no}: unsupported version {header.get('version')} (expected {DATASET_VERSION})"
             )
-            # Masks hold every true/false of a well-formed record; only a line
-            # with another count is scanned for one in a numeric array.
-            mask_values = scene.future_mask.size + sum(
-                e.mask.size for e in (scene.ego, *scene.agents, *scene.roads))
-            if line.count("true") + line.count("false") != mask_values:
-                _reject_bools(rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise ParseError(f"line {line_no}: invalid scene record ({exc})") from exc
-        scenes.append(scene)
-    return scenes
+        return [_scene_from_line(line_no, line) for line_no, line in lines]

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, fields
 
 import numpy as np
@@ -425,6 +426,27 @@ class TestCliPipeline:
         echoed = "\n".join(l for l in out.splitlines() if "=" in l)
         assert parse_config_text(echoed) == parse_config(tiny_config)
 
+    def test_generate_data_holds_one_scene_at_a_time(self, tmp_path, capsys):
+        """`generate-data` writes each scene as it is generated: its traced
+        peak does not grow with the number of scenes."""
+        scenes_config = ("data.num_roads_min=2\ndata.num_roads_max=2\ndata.num_agents_min=1\n"
+                         "data.num_agents_max=1\ndata.points_per_polyline=4\n"
+                         "data.history_steps=4\ndata.horizon=4\n")
+        peaks = []
+        for count in (64, 1024):
+            cfg = tmp_path / f"{count}.cfg"
+            cfg.write_text(scenes_config + f"data.num_scenes={count}\n")
+            out = str(tmp_path / f"{count}.jsonl")
+            tracemalloc.start()
+            try:
+                assert main(["generate-data", "--config", str(cfg), "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert f"wrote {count} scenes to {out}" in capsys.readouterr().err
+            assert len(read_dataset(out)) == count
+        assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
 
 class TestCliErrors:
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -525,6 +547,19 @@ class TestCliErrors:
                      "--out", str(tmp_path / "m.mnmg")])
         assert code == 1
         assert capsys.readouterr().err
+
+    def test_an_undecodable_data_file_exits_1(self, tmp_path, tiny_config, capsys):
+        data = tmp_path / "scenes.jsonl"
+        assert main(["generate-data", "--config", tiny_config, "--out", str(data)]) == 0
+        raw = data.read_bytes()
+        data.write_bytes(raw[:-100] + b"\xff" + raw[-99:])
+        capsys.readouterr()
+        code = main(["train", "--config", tiny_config, "--data", str(data),
+                     "--out", str(tmp_path / "m.mnmg")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert "Traceback" not in err
 
     def test_ensemble_k_exceeding_modes_exits_2(self, tmp_path, tiny_config, capsys):
         data = str(tmp_path / "scenes.jsonl")

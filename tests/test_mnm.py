@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -361,3 +362,14 @@ class TestBlockSettings:
             if update_tokens:
                 np.testing.assert_allclose(x_out.value[rows], exp_x, atol=1e-12)
             np.testing.assert_allclose(c_out.value[e], exp_c, atol=1e-12)
+
+    def test_a_block_keeps_the_kind_it_was_declared_with(self):
+        """A product block cannot be turned into an attention block over its
+        product weights; its weights stay writable."""
+        block = _block(0, heads=2, match_kind=MatchKind.PRODUCT, proj=True)
+        with pytest.raises(FrozenInstanceError):
+            block.match = MatchKind.ATTENTION_MATMUL
+        with pytest.raises(FrozenInstanceError):
+            block.wm = None
+        _zero(block.wm)
+        assert block.match is MatchKind.PRODUCT and not block.wm.value.any()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,59 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="ego has no valid point"):
             Scene(ego=scenes[3].ego, agents=[], roads=scenes[0].roads,
                   future=np.zeros((4, 2)), future_mask=np.ones(4, dtype=bool))
+
+    def test_a_read_holds_little_beyond_its_scenes(self, tmp_path):
+        """A read streams its file: its traced peak stays near the memory of
+        the scenes it returns, with no copy of the whole text beside them."""
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(generate_dataset(GeneratorConfig(seed=24), 256), path)
+        tracemalloc.start()
+        try:
+            scenes = read_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scenes) == 256
+        assert peak < 1.25 * held, (peak, held)
+
+    @pytest.mark.parametrize("build, outcome", [
+        (lambda h, r: "\r\n".join([h, *r]) + "\r\n", None),
+        (lambda h, r: "\r\n".join([h, r[0], r[1], _version(r[2], 2)]) + "\r\n", (FormatError, 4)),
+        (lambda h, r: "\r".join([h, *r]) + "\r", None),
+        (lambda h, r: "\r".join([h, r[0], "{", r[2]]), (ParseError, 3)),
+        (lambda h, r: f"\n \n{h}\n\n{r[0]}\n\t\n\n{r[1]}\n{r[2]}\n\n", None),
+        (lambda h, r: f"\n{h}\n\n{r[0]}\n \n{r[1]}\n\n{r[2][:-9]}\n", (ParseError, 8)),
+        (lambda h, r: f"{h}\n{r[0]}\f{r[1]}\n{r[2]}\n", None),
+        (lambda h, r: f"{h}\n{r[0]}\f\n{r[1]}\n{_version(r[2], 2)}\n", (FormatError, 5)),
+        (lambda h, r: f"{h}\n{r[0]}\n{r[1][:50]}\f{r[1][50:]}\n{r[2]}\n", (ParseError, 3)),
+        (lambda h, r: f"{h}\u2028{r[0]}\n{r[1]}\u2028{r[2]}", None),
+        (lambda h, r: f"{h}\n{r[0]}\u2028\u2028{r[1]}\n{_version(r[2], 2)}\n", (FormatError, 5)),
+        (lambda h, r: f"{h}\n{r[0]}\n{r[1]}\n{r[2][:50]}\u2028{r[2][50:]}\n", (ParseError, 4)),
+    ], ids=["crlf", "crlf-bad-version", "cr", "cr-malformed", "blank-lines",
+            "blank-lines-truncated", "formfeed-joins-records", "formfeed-ends-a-record",
+            "formfeed-splits-a-record", "u2028-joins-records", "u2028-ends-a-record",
+            "u2028-splits-a-record"])
+    def test_lines_are_numbered_as_the_whole_text_splits_them(self, tmp_path, build, outcome):
+        """Every line break `str.splitlines` knows counts, and a CR, CRLF or LF
+        ends one line: each case reads the written scenes, or names the line
+        by its number in `splitlines()` of the whole text."""
+        scenes = generate_dataset(GeneratorConfig(seed=25), 3)
+        path = tmp_path / "scenes.jsonl"
+        write_dataset(scenes, path)
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(build(header, records))
+        if outcome is None:
+            _assert_bitwise_equal(tuple(scenes), tuple(read_dataset(path)), "scenes")
+            return
+        error, line_no = outcome
+        with pytest.raises(error, match=rf"^line {line_no}: "):
+            read_dataset(path)
+
+
+def _version(record: str, version: int) -> str:
+    assert record.startswith('{"version":1,')
+    return f'{{"version":{version},' + record[len('{"version":1,'):]
 
 
 def _assert_bitwise_equal(a, b, where):

@@ -657,9 +657,10 @@ class TestPinnedBytes:
         assert _digest(grads) == "9d99831b1c138c8d0d56861b26ab65a3ac33f20c5cfd6b15f13d873cd82f5aab"
 
     def test_cli_metric_reports_and_prediction_files_are_pinned(self, tmp_path, capsys):
-        """The `evaluate` and `ensemble` stdout and the `predict` and
-        `ensemble` files of the reproducibility config: a change to how modes
-        are scored or predicted must not move a byte of them."""
+        """The `generate-data` file, the `evaluate` and `ensemble` stdout and
+        the `predict` and `ensemble` files of the reproducibility config: a
+        change to how scenes are generated and written, or to how modes are
+        scored or predicted, must not move a byte of them."""
         cfg = tmp_path / "repro.cfg"
         cfg.write_text(REPRO_CONFIG)
         data, m1, m2, preds, ens = (str(tmp_path / name) for name in
@@ -677,12 +678,13 @@ class TestPinnedBytes:
         ensemble_out = capsys.readouterr().out
         digests = [hashlib.sha256(blob).hexdigest() for blob in (
             evaluate_out.encode(), ensemble_out.encode(),
-            open(preds, "rb").read(), open(ens, "rb").read())]
+            open(preds, "rb").read(), open(ens, "rb").read(), open(data, "rb").read())]
         assert digests == [
             "09f8d32026da58d547c0bd21cab02700cc8729fdd2ebcec2c5f2c219608167d2",
             "1702a5659bb4d28c35dc316aa746ddc4997a636f088decc3aba83550b4464126",
             "48b5aca144ae1008358aec11660c9bddc8e8632107ed8fb9eb02fda760e6f323",
             "6268c208dbfbf023a7ebee8f545149ef3380fc316e5b4c64d23c190d1cb02457",
+            "8c4d8157d7c330436ece38121d24e6b5169d462323869d0e323c6282c7a7ee45",
         ]
 
 
